@@ -21,6 +21,21 @@ Geometry per payoff:
 
 Both cases share one implementation through an orientation sign:
 stop iff orientation * (Phi - alpha) >= 0, with ties stopping.
+
+Because the put boundary depends on t alone, its net runs once per date,
+on one row of t/T, in training and in evaluation alike, and Phi(t) is
+broadcast over the paths.  The max-call rows differ per path and stay one
+row per (date, path).
+
+The relaxed value V = mean_paths sum_k p_k prod_{j<k} (1 - p_j) w_k, with
+w_k = e^{-r t_k} phi(S_k) and p_N = 1, is one autodiff node.  Its forward
+is the backward recursion C_N = w_N, C_k = p_k w_k + (1 - p_k) C_{k+1},
+V = mean C_0; its backward is
+
+    dV/dp_k = surv_k (w_k - C_{k+1}) / m,   surv_k = prod_{j<k} (1 - p_j),
+
+which never divides by 1 - p: p = 1 before maturity occurs whenever the
+gap clips.
 """
 
 from __future__ import annotations
@@ -137,6 +152,13 @@ class StoppingSpec:
         hi = _sigmoid(k)
         return (_sigmoid(x * k) - lo) * (1.0 / (hi - lo))
 
+    def stop_probs(self, phi, alpha):
+        """Relaxed stopping probabilities g(clip(o (Phi - alpha) / eps));
+        phi may be an array or an autodiff tensor that broadcasts
+        against alpha.  Callers force p_N = 1."""
+        gap = (phi - alpha) * self.orientation
+        return self.g((gap * (1.0 / self.eps)).clip(-1.0, 1.0))
+
     def to_dict(self) -> dict:
         return {
             "payoff_kind": self.payoff_kind,
@@ -204,6 +226,13 @@ class BoundaryNet:
 
     # -- feature encodings ---------------------------------------------
 
+    @property
+    def time_only(self) -> bool:
+        """Phi depends on t alone (the put), so one net row per date stands
+        for every path.  Batch norm rules it out: its running variance
+        counts rows, so collapsing them would change what training records."""
+        return self.kind == "put" and not any(self.net.bn_flags)
+
     def features(self, t: float, s: np.ndarray) -> np.ndarray:
         """Encode one time and a block of states (m, d)."""
         s = np.asarray(s, dtype=np.float64)
@@ -215,14 +244,20 @@ class BoundaryNet:
         return np.concatenate([tau, z], axis=1)
 
     def features_batch(self, batch: PathBatch) -> np.ndarray:
-        """Encode every (path, time) pair; rows ordered time-major so the
-        reshape to (N+1, m) is direct."""
+        """Encode a whole batch time-major, so the net output reshapes to
+        (N+1, m), or to (N+1, 1) when Phi depends on t alone and one row
+        per date is encoded."""
         times = batch.mesh.times
+        if self.time_only:
+            return (times / self.maturity)[:, None]
         blocks = [self.features(t, batch.prices[:, k, :]) for k, t in enumerate(times)]
         return np.concatenate(blocks, axis=0)
 
     def level(self, t: float, s: np.ndarray) -> np.ndarray:
         """Boundary level Phi at one time for states (m, d); pure numpy."""
+        if self.time_only:
+            phi = self.net.forward_eval(np.array([[t / self.maturity]]))[0, 0]
+            return np.full(len(s), phi * self.out_scale)
         return self.net.forward_eval(self.features(t, s))[:, 0] * self.out_scale
 
     # -- persistence -----------------------------------------------------
@@ -288,15 +323,50 @@ def fuzzy_stop_probs(boundary: BoundaryNet, batch: PathBatch,
     """Relaxed stopping probabilities p_t = g(clip(o (Phi - alpha)/eps))
     from the current boundary; p_N forced to 1.  Pure numpy (eval mode)."""
     _check_compatible(boundary, spec, batch)
-    times = spec.mesh.times
-    m = batch.n_paths
-    p = np.empty((m, times.size))
-    for k, t in enumerate(times):
-        s_k = batch.prices[:, k, :]
-        gap = spec.orientation * (boundary.level(t, s_k) - spec.alpha(s_k))
-        p[:, k] = spec.g(np.clip(gap / spec.eps, -1.0, 1.0))
+    phi = np.stack([boundary.level(t, batch.prices[:, k, :])
+                    for k, t in enumerate(spec.mesh.times)])
+    p = spec.stop_probs(phi, _per_date(spec.alpha, batch)).T.copy()
     p[:, -1] = 1.0
     return StopProbProcess(p=p, xi=xi_recursion(p))
+
+
+def _per_date(fn, batch: PathBatch) -> np.ndarray:
+    """fn applied to each date's states, stacked time-major: (N+1, m)."""
+    return np.stack([fn(batch.prices[:, k, :]) for k in range(batch.prices.shape[1])])
+
+
+def _stop_weights(batch: PathBatch, spec: StoppingSpec) -> np.ndarray:
+    """Discounted payoffs w_k = e^{-r t_k} phi(S_k), time-major (N+1, m)."""
+    return spec.discounts()[:, None] * _per_date(spec.payoff, batch)
+
+
+def _continuation(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Relaxed continuation values, time-major (N+1, m): C_N = w_N and
+    C_k = p_k w_k + (1 - p_k) C_{k+1}.  Row N of p is not read: p_N = 1."""
+    c = np.empty_like(w)
+    c[-1] = w[-1]
+    for k in range(w.shape[0] - 2, -1, -1):
+        c[k] = p[k] * w[k] + (1.0 - p[k]) * c[k + 1]
+    return c
+
+
+def _relaxed_value_node(p: Tensor, w: np.ndarray) -> Tensor:
+    """V = mean_paths C_0 as one autodiff node over time-major p (N+1, m).
+
+    dV/dp_k = surv_k (w_k - C_{k+1}) / m with surv_k = prod_{j<k} (1 - p_j)
+    for k < N, and 0 for row N.
+    """
+    c = _continuation(p.data, w)
+    n1, m = w.shape
+
+    def backward(out: Tensor) -> None:
+        surv = np.ones((n1 - 1, m))
+        np.cumprod(1.0 - p.data[:-2], axis=0, out=surv[1:])
+        grad = np.zeros_like(p.data)
+        grad[:-1] = surv * (w[:-1] - c[1:]) * (out.grad / m)
+        p._accumulate(grad)
+
+    return Tensor._make(np.asarray(c[0].mean()), (p,), backward)
 
 
 def relaxed_value(batch: PathBatch, p: np.ndarray, spec: StoppingSpec) -> float:
@@ -313,12 +383,9 @@ def relaxed_value(batch: PathBatch, p: np.ndarray, spec: StoppingSpec) -> float:
                              f"({batch.n_paths}, {spec.mesh.times.size})")
     if np.any(np.abs(p[:, -1] - 1.0) > 1e-12):
         raise ContractError("p_N must equal 1")
-    xi = xi_recursion(p)
-    disc = spec.discounts()
-    total = np.zeros(batch.n_paths)
-    for k in range(spec.mesh.times.size):
-        total += p[:, k] * (1.0 - xi[:, k]) * disc[k] * spec.payoff(batch.prices[:, k, :])
-    return float(total.mean())
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        raise ContractError("stopping probabilities must lie in [0, 1]")
+    return float(_continuation(p.T, _stop_weights(batch, spec))[0].mean())
 
 
 # ----------------------------------------------------------------------
@@ -353,46 +420,56 @@ def _first_crossing(boundary: BoundaryNet, batch: PathBatch,
     return tau
 
 
+def _stopped_values(boundary: BoundaryNet, batch: PathBatch,
+                    spec: StoppingSpec) -> np.ndarray:
+    """Per-path discounted payoff at the first crossing."""
+    tau = _first_crossing(boundary, batch, spec)
+    s_tau = batch.prices[np.arange(batch.n_paths), tau, :]
+    return spec.discounts()[tau] * spec.payoff(s_tau)
+
+
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean)."""
+    mean = float(values.mean())
+    dev = values - mean
+    return values.size, mean, float((dev * dev).sum())
+
+
+def _estimate(n: int, mean: float, m2: float) -> PriceEstimate:
+    se = float(np.sqrt(m2 / (n - 1) / n)) if n > 1 else float("nan")
+    return PriceEstimate(price=mean, std_error=se, n_paths=n)
+
+
 def sharp_evaluate(boundary: BoundaryNet, batch: PathBatch,
                    spec: StoppingSpec) -> PriceEstimate:
     """First-crossing Monte Carlo value of the boundary rule."""
     _check_compatible(boundary, spec, batch)
     batch.require_risk_neutral("sharp evaluation")
-    tau = _first_crossing(boundary, batch, spec)
-    disc = spec.discounts()
-    rows = np.arange(batch.n_paths)
-    s_tau = batch.prices[rows, tau, :]
-    values = disc[tau] * spec.payoff(s_tau)
-    se = float(values.std(ddof=1) / np.sqrt(batch.n_paths)) if batch.n_paths > 1 else float("nan")
-    return PriceEstimate(price=float(values.mean()), std_error=se, n_paths=batch.n_paths)
+    return _estimate(*_moments(_stopped_values(boundary, batch, spec)))
 
 
 def evaluate_price(boundary: BoundaryNet, market: GbmParams, spec: StoppingSpec,
                    n_paths: int, seed: int, chunk_size: int = 1 << 17) -> PriceEstimate:
     """Sharp evaluation on freshly simulated risk-neutral paths, streamed
-    in chunks so multi-million-path runs stay in memory."""
+    in chunks so multi-million-path runs stay in memory.  Chunk moments
+    merge by the pairwise update of Chan, Golub & LeVeque, which does not
+    cancel when the payoff barely varies; one chunk gives exactly
+    sharp_evaluate on the batch of derive_rng(seed, "eval", 0)."""
     if n_paths <= 0:
         raise ContractError("n_paths must be positive")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
+    n, mean, m2 = 0, 0.0, 0.0
     chunk_index = 0
-    while done < n_paths:
-        m = min(chunk_size, n_paths - done)
+    while n < n_paths:
         rng = derive_rng(seed, "eval", chunk_index)
-        batch = simulate_gbm(market, spec.mesh, m, rng)
-        tau = _first_crossing(boundary, batch, spec)
-        disc = spec.discounts()
-        rows = np.arange(m)
-        values = disc[tau] * spec.payoff(batch.prices[rows, tau, :])
-        total += float(values.sum())
-        total_sq += float((values * values).sum())
-        done += m
+        batch = simulate_gbm(market, spec.mesh, min(chunk_size, n_paths - n), rng)
+        n_b, mean_b, m2_b = _moments(_stopped_values(boundary, batch, spec))
+        total = n + n_b
+        delta = mean_b - mean
+        mean += delta * (n_b / total)
+        m2 += m2_b + delta * delta * (n * n_b / total)
+        n = total
         chunk_index += 1
-    mean = total / n_paths
-    var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
-    return PriceEstimate(price=mean, std_error=float(np.sqrt(var / n_paths)),
-                         n_paths=n_paths)
+    return _estimate(n, mean, m2)
 
 
 # ----------------------------------------------------------------------
@@ -406,29 +483,12 @@ def _relaxed_value_graph(boundary: BoundaryNet, batch: PathBatch,
     This is the one consumer allowed to read tilted batches: the tilt
     changes where gradients are collected, not the objective's form.
     """
-    times = spec.mesh.times
-    n1 = times.size
-    m = batch.n_paths
-
-    feats = boundary.features_batch(batch)  # ((N+1) m, f), time-major
-    phi = (boundary.net.forward(feats, train=train_mode) * boundary.out_scale).reshape(n1, m)
-
-    alpha = np.stack([spec.alpha(batch.prices[:, k, :]) for k in range(n1)])  # (N+1, m)
-    disc = spec.discounts()
-    weights = np.stack([disc[k] * spec.payoff(batch.prices[:, k, :]) for k in range(n1)])
-
-    gap = (phi - alpha) * spec.orientation
-    p2d = spec.g((gap * (1.0 / spec.eps)).clip(-1.0, 1.0))
-
-    one_minus_xi = Tensor(np.ones(m))
-    acc = None
-    for k in range(n1):
-        p_k = p2d[k] if k < n1 - 1 else Tensor(np.ones(m))  # p_N = 1
-        term = p_k * one_minus_xi * weights[k]
-        acc = term if acc is None else acc + term
-        if k < n1 - 1:
-            one_minus_xi = one_minus_xi * (1.0 - p_k)
-    return acc.mean()
+    feats = boundary.features_batch(batch)
+    phi = boundary.net.forward(feats, train=train_mode) * boundary.out_scale
+    # (N+1, 1) for a time-only boundary, broadcast over paths; else (N+1, m)
+    phi = phi.reshape(spec.mesh.times.size, -1)
+    p = spec.stop_probs(phi, _per_date(spec.alpha, batch))
+    return _relaxed_value_node(p, _stop_weights(batch, spec))
 
 
 def train_boundary(spec: StoppingSpec, boundary: BoundaryNet, market: GbmParams,

@@ -31,6 +31,10 @@ TINY_ORACLE = {"method": "black-scholes",
 TINY_MERTON = {"dims": [2], "n_data": 64, "n_repeats": 2, "n_eval": 512,
                "hidden": [4], "train": {"batch_size": 32, "iterations": 40}}
 
+TINY_PUT = {"mesh": {"kind": "uniform", "maturity": 1.0, "n_steps": 8},
+            "hidden": [4], "train": {"batch_size": 32, "iterations": 3},
+            "eval": {"n_paths": 2048}}
+
 
 # ----------------------------------------------------------------------
 # config plumbing
@@ -177,6 +181,24 @@ def test_merton_run_artifacts_and_determinism(tmp_path):
     rows = (out1 / "reports.csv").read_text().strip().split("\n")
     assert rows[0].startswith("dim,repeat,")
     assert len(rows) == 1 + 2  # header + dims x repeats
+
+
+def test_put_boundary_run_artifacts_and_determinism(tmp_path):
+    artifacts = {"price.json", "boundary.csv", "boundary.json", "loss.csv",
+                 "fd_reference.json", "fd_boundary.csv"}
+    cfg = write_cfg(tmp_path, TINY_PUT)
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert main(["put-boundary", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert {f.name for f in outs[0].iterdir()} == artifacts | {"manifest.json"}
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert {f["name"] for f in manifest["files"]} == artifacts
+    for name in artifacts:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    price = json.loads((outs[0] / "price.json").read_text())
+    assert price["n_paths"] == 2048
+    assert len((outs[0] / "boundary.csv").read_text().strip().split("\n")) == 1 + 9
+    assert len((outs[0] / "loss.csv").read_text().strip().split("\n")) == 1 + 3
 
 
 def test_worker_count_does_not_change_results(tmp_path, monkeypatch):

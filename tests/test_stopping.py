@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from derm_lab.errors import ContractError, DimensionError, MeasureError
 from derm_lab.markets import GbmParams, TimeMesh, simulate_gbm
+from derm_lab.nn import MLP
+from derm_lab.nn.tensor import Tensor, gradcheck
 from derm_lab.nn.train import TrainConfig
 from derm_lab.oracles import bs_put_price
 from derm_lab.rng import derive_rng
@@ -19,7 +21,8 @@ from derm_lab.stopping import (BoundaryNet, StoppingSpec, boundary_agreement,
                                boundary_grid_rows, evaluate_price,
                                fuzzy_stop_probs, payoff_max_call, payoff_put,
                                relaxed_value, sharp_evaluate, star_shape_check,
-                               train_boundary, xi_recursion, _first_crossing)
+                               train_boundary, xi_recursion, _first_crossing,
+                               _relaxed_value_graph, _relaxed_value_node)
 
 PUT_MARKET = GbmParams(s0=40.0, rate=0.06, sigma=0.4)
 PUT_MESH = TimeMesh.uniform(1.0, 10)
@@ -148,6 +151,103 @@ def test_indicator_relaxation_equals_sharp_value():
 
 
 # ----------------------------------------------------------------------
+# the fused relaxed-value node
+
+
+def _direct_relaxed_value(p, w):
+    """mean_paths sum_k p_k prod_{j<k} (1 - p_j) w_k, time-major, p_N = 1."""
+    p = p.copy()
+    p[-1] = 1.0
+    surv = np.vstack([np.ones((1, p.shape[1])), np.cumprod(1.0 - p[:-1], axis=0)])
+    return float((p * surv * w).sum(axis=0).mean())
+
+
+def test_fused_node_gradcheck_with_saturated_probs():
+    rng = np.random.default_rng(14)
+    p = rng.uniform(0.0, 1.0, size=(6, 5))
+    # exact 0 and 1 before maturity: the gap clips on both sides
+    p[0, 0] = p[1, 1] = p[3, 4] = 0.0
+    p[0, 1] = p[2, 2] = p[4, 3] = 1.0
+    p[:5, 0] = 1.0  # a path whose mass is spent at once
+    w = rng.uniform(0.0, 5.0, size=(6, 5))
+    t = Tensor(p, requires_grad=True)
+    value = _relaxed_value_node(t, w)
+    assert float(value) == pytest.approx(_direct_relaxed_value(p, w), rel=1e-14)
+    value.backward()
+    assert np.all(np.isfinite(t.grad))
+    assert np.all(t.grad[-1] == 0.0)  # p_N is pinned to 1, not read
+    assert gradcheck(lambda ts: _relaxed_value_node(ts[0], w), [t]) < 1e-8
+
+
+def _per_row_reference_graph(boundary, batch, spec):
+    """The composed graph the fused node replaced: one net row per
+    (date, path) and one chain of Tensor ops per date."""
+    times = spec.mesh.times
+    n1, m = times.size, batch.n_paths
+    feats = np.concatenate([boundary.features(t, batch.prices[:, k, :])
+                            for k, t in enumerate(times)])
+    phi = (boundary.net.forward(feats, train=True) * boundary.out_scale).reshape(n1, m)
+    alpha = np.stack([spec.alpha(batch.prices[:, k, :]) for k in range(n1)])
+    disc = spec.discounts()
+    weights = np.stack([disc[k] * spec.payoff(batch.prices[:, k, :]) for k in range(n1)])
+    p2d = spec.g((((phi - alpha) * spec.orientation) * (1.0 / spec.eps)).clip(-1.0, 1.0))
+    one_minus_xi = Tensor(np.ones(m))
+    acc = None
+    for k in range(n1):
+        p_k = p2d[k] if k < n1 - 1 else Tensor(np.ones(m))
+        term = p_k * one_minus_xi * weights[k]
+        acc = term if acc is None else acc + term
+        if k < n1 - 1:
+            one_minus_xi = one_minus_xi * (1.0 - p_k)
+    return acc.mean()
+
+
+def _value_and_grads(graph, boundary, batch, spec):
+    boundary.net.zero_grad()
+    value = graph(boundary, batch, spec)
+    value.backward()
+    return float(value), [p.grad.copy() for p in boundary.net.parameters()]
+
+
+@pytest.mark.parametrize("case", ["put-linear", "put-scaled-sigmoid", "max_call"])
+def test_fused_graph_matches_per_row_reference(case):
+    if case == "max_call":
+        spec, boundary = maxcall_setup()
+        market = GbmParams(s0=[90.0, 90.0], rate=0.05, sigma=0.2, div=0.1)
+    else:
+        spec, boundary, market = put_spec(g=case[4:]), put_boundary(), PUT_MARKET
+    batch = simulate_gbm(market, spec.mesh, 256, derive_rng(13, "fused"))
+    want, want_grads = _value_and_grads(_per_row_reference_graph, boundary, batch, spec)
+    got, got_grads = _value_and_grads(_relaxed_value_graph, boundary, batch, spec)
+    assert got == pytest.approx(want, rel=1e-12)
+    for g, w in zip(got_grads, want_grads):
+        scale = np.max(np.abs(w))
+        assert scale > 0.0
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
+
+
+def test_put_boundary_runs_one_row_per_date():
+    boundary = put_boundary()
+    assert boundary.time_only
+    batch = simulate_gbm(PUT_MARKET, PUT_MESH, 64, derive_rng(15, "rows"))
+    assert boundary.features_batch(batch).shape == (11, 1)
+    s = batch.prices[:, 4, :]
+    per_row = boundary.net.forward_eval(boundary.features(0.4, s))[:, 0] * boundary.out_scale
+    assert np.array_equal(boundary.level(0.4, s), per_row)
+    # per-path boundaries, and batch norm (its running variance counts
+    # rows), keep one row per (date, path)
+    spec, mc = maxcall_setup()
+    assert not mc.time_only
+    mc_batch = simulate_gbm(GbmParams(s0=[90.0, 90.0], rate=0.05, sigma=0.2),
+                            spec.mesh, 64, derive_rng(15, "mc"))
+    assert mc.features_batch(mc_batch).shape == (10 * 64, 3)
+    bn = BoundaryNet(net=MLP([1, 4, 1], batch_norm=True), kind="put",
+                     maturity=1.0, out_scale=40.0, n_assets=1)
+    assert not bn.time_only
+    assert bn.features_batch(batch).shape == (11 * 64, 1)
+
+
+# ----------------------------------------------------------------------
 # degenerate boundaries have known prices
 
 
@@ -216,6 +316,43 @@ def test_evaluate_price_deterministic():
     assert (a.price, a.std_error) == (b.price, b.std_error)
     assert a.price != c.price
     assert a.n_paths == 5000
+
+
+@pytest.mark.parametrize("s0", [35.3, 31.9])
+@pytest.mark.parametrize("chunk_size", [1 << 17, 1000])
+def test_evaluate_price_constant_payoff_has_no_error(s0, chunk_size):
+    # always stop at t=0: every path pays K - s0, so the sample variance is 0
+    market = GbmParams(s0=s0, rate=0.06, sigma=0.4)
+    boundary = pin_level(put_boundary(), 1000.0)
+    est = evaluate_price(boundary, market, put_spec(), n_paths=5000, seed=3,
+                         chunk_size=chunk_size)
+    assert est.price == pytest.approx(40.0 - s0, abs=1e-12)
+    assert est.std_error <= 1e-15
+
+
+def test_single_chunk_evaluate_price_is_sharp_evaluate():
+    boundary, spec = put_boundary(), put_spec()
+    est = evaluate_price(boundary, PUT_MARKET, spec, n_paths=3000, seed=21)
+    batch = simulate_gbm(PUT_MARKET, spec.mesh, 3000, derive_rng(21, "eval", 0))
+    assert est == sharp_evaluate(boundary, batch, spec)
+    one = evaluate_price(boundary, PUT_MARKET, spec, n_paths=1, seed=21)
+    assert np.isnan(one.std_error)
+
+
+def test_chunked_evaluate_price_merges_moments():
+    boundary, spec = put_boundary(), put_spec()
+    est = evaluate_price(boundary, PUT_MARKET, spec, n_paths=3500, seed=22,
+                         chunk_size=1000)
+    values = []
+    for i, m in enumerate((1000, 1000, 1000, 500)):
+        batch = simulate_gbm(PUT_MARKET, spec.mesh, m, derive_rng(22, "eval", i))
+        tau = _first_crossing(boundary, batch, spec)
+        values.append(spec.discounts()[tau]
+                      * spec.payoff(batch.prices[np.arange(m), tau, :]))
+    values = np.concatenate(values)
+    assert est.n_paths == 3500
+    assert est.price == pytest.approx(values.mean(), rel=1e-13)
+    assert est.std_error == pytest.approx(values.std(ddof=1) / np.sqrt(3500), rel=1e-12)
 
 
 # ----------------------------------------------------------------------
