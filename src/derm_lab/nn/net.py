@@ -1,10 +1,12 @@
 """Feed-forward networks with optional per-hidden-layer batch normalisation.
 
-Initialisation is Glorot-uniform weights with zero biases.  Train-mode
-forward builds an autodiff graph and updates batch-norm running statistics;
-eval-mode forward is plain numpy, a pure function of (parameters, running
-statistics, input).  Checkpoints are JSON and round-trip bit-exactly
-because python floats serialise via repr.
+Initialisation is Glorot-uniform weights with zero biases.  forward()
+builds an autodiff graph of two or three nodes per hidden layer (the
+affine map, batch norm if enabled, the activation); in train mode it also
+updates the batch-norm running statistics.  forward_eval() is plain numpy,
+a pure function of (parameters, running statistics, input).  Checkpoints
+are JSON and round-trip bit-exactly because python floats serialise via
+repr.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ class BatchNorm:
     """Batch normalisation over axis 0 with trainable scale and shift.
 
     Normalisation uses the biased batch variance; the running variance is
-    updated with the unbiased estimate (standard convention).
+    updated with the unbiased estimate (standard convention).  forward()
+    is one autodiff node.  In train mode its backward is the closed form
+    of Ioffe & Szegedy (2015): with x_hat the normalised input, g the
+    output gradient and inv = (var + eps)^-1/2,
+
+        dx = gamma inv (g - mean(g) - x_hat mean(g x_hat)),
+
+    the means taken over the batch.
     """
 
     def __init__(self, width: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -49,18 +58,47 @@ class BatchNorm:
         self.momentum = float(momentum)
         self.eps = float(eps)
 
-    def forward_train(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=0)
-        centered = x - mu
-        var = (centered * centered).mean(axis=0)
-        y = centered * ((var + self.eps) ** -0.5) * self.gamma + self.beta
-
+    def forward(self, x: Tensor, train: bool) -> Tensor:
+        """train=True normalises with the batch statistics and updates the
+        running statistics; train=False uses the running statistics."""
+        gamma, beta = self.gamma, self.beta
         m = x.shape[0]
-        unbiased = var.data * (m / (m - 1.0)) if m > 1 else var.data
-        k = self.momentum
-        self.running_mean = (1.0 - k) * self.running_mean + k * mu.data
-        self.running_var = (1.0 - k) * self.running_var + k * unbiased
-        return y
+        if train:
+            mu = x.data.sum(axis=0) * (1.0 / m)
+            x_hat = x.data - mu
+            var = (x_hat * x_hat).sum(axis=0) * (1.0 / m)
+            inv = (var + self.eps) ** -0.5
+            x_hat *= inv
+
+            unbiased = var * (m / (m - 1.0)) if m > 1 else var
+            k = self.momentum
+            self.running_mean = (1.0 - k) * self.running_mean + k * mu
+            self.running_var = (1.0 - k) * self.running_var + k * unbiased
+        else:
+            inv = 1.0 / np.sqrt(self.running_var + self.eps)
+            x_hat = (x.data - self.running_mean) * inv
+        value = x_hat * gamma.data
+        value += beta.data
+
+        def backward(out: Tensor) -> None:
+            g = out.grad
+            g_beta = g.sum(axis=0)
+            g_gamma = (g * x_hat).sum(axis=0)
+            if x.requires_grad:
+                if train:
+                    gx = x_hat * (g_gamma * (-1.0 / m))
+                    gx += g
+                    gx -= g_beta * (1.0 / m)
+                    gx *= gamma.data * inv
+                else:
+                    gx = g * (gamma.data * inv)
+                x._accumulate(gx, fresh=True)
+            if gamma.requires_grad:
+                gamma._accumulate(g_gamma, fresh=True)
+            if beta.requires_grad:
+                beta._accumulate(g_beta, fresh=True)
+
+        return Tensor._make(value, (x, gamma, beta), backward)
 
     def forward_eval(self, x: np.ndarray) -> np.ndarray:
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
@@ -130,16 +168,10 @@ class MLP:
         act = ACTIVATIONS[self.activation][0]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h.linear(w, b)
             if i < last:
-                norm = self.norms[i]
-                if norm is not None:
-                    if train:
-                        h = norm.forward_train(h)
-                    else:
-                        h = (h - norm.running_mean) \
-                            * (1.0 / np.sqrt(norm.running_var + norm.eps)) \
-                            * norm.gamma + norm.beta
+                if self.norms[i] is not None:
+                    h = self.norms[i].forward(h, train)
                 h = act(h)
         return h
 

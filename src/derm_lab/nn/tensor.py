@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 A Tensor wraps a float64 ndarray together with a gradient buffer and a
-backward closure.  Operations build a DAG; Tensor.backward() walks it once
+backward function.  Operations build a DAG; Tensor.backward() walks it once
 in reverse topological order and accumulates gradients into every node
 that requires them.  Broadcasting follows numpy rules; the backward pass
 sums gradients back down to the original shapes.
@@ -16,6 +16,18 @@ Conventions that matter for training:
   the interval.  Both choices are pinned by tests.
 - The topological sort is iterative, so graphs with thousands of
   sequential steps (long time meshes) do not hit the recursion limit.
+
+Memory conventions:
+
+- Graphs are acyclic.  A node stores its backward function as
+  ``_backward(out)``: it receives the node as its argument and closes
+  over the node's parents only, and backward() calls
+  ``node._backward(node)``.  Reference counting therefore frees a whole
+  graph as soon as its loss is dropped, without the cyclic collector.
+- ``_accumulate(g, fresh=True)`` takes ownership of ``g`` instead of
+  copying it: the caller promises that ``g`` is a newly allocated array
+  that nothing else refers to.  Broadcast views, parents' data and other
+  nodes' gradients must go through the copying default.
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     # ------------------------------------------------------------------
@@ -90,8 +102,11 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
         if self.grad is None:
+            if fresh and type(g) is np.ndarray and g.shape == self.data.shape:
+                self.grad = g
+                return
             # owned copy at full shape; g may be a broadcast view or scalar
             self.grad = np.empty_like(self.data)
             self.grad[...] = g
@@ -106,7 +121,7 @@ class Tensor:
         out = Tensor(data, requires_grad=bool(live))
         if live:
             out._parents = live
-            out._backward = lambda: backward(out)
+            out._backward = backward
         return out
 
     # ------------------------------------------------------------------
@@ -130,7 +145,7 @@ class Tensor:
         a = self
 
         def backward(out: "Tensor") -> None:
-            a._accumulate(-out.grad)
+            a._accumulate(-out.grad, fresh=True)
 
         return Tensor._make(-a.data, (a,), backward)
 
@@ -146,9 +161,9 @@ class Tensor:
 
         def backward(out: "Tensor") -> None:
             if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
+                a._accumulate(_unbroadcast(out.grad * b.data, a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
+                b._accumulate(_unbroadcast(out.grad * a.data, b.shape), fresh=True)
 
         return Tensor._make(a.data * b.data, (a, b), backward)
 
@@ -160,9 +175,10 @@ class Tensor:
 
         def backward(out: "Tensor") -> None:
             if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad / b.data, a.shape))
+                a._accumulate(_unbroadcast(out.grad / b.data, a.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
+                b._accumulate(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape),
+                              fresh=True)
 
         return Tensor._make(a.data / b.data, (a, b), backward)
 
@@ -176,7 +192,7 @@ class Tensor:
         a = self
 
         def backward(out: "Tensor") -> None:
-            a._accumulate(out.grad * e * a.data ** (e - 1.0))
+            a._accumulate(out.grad * e * a.data ** (e - 1.0), fresh=True)
 
         return Tensor._make(a.data ** e, (a,), backward)
 
@@ -190,11 +206,33 @@ class Tensor:
 
         def backward(out: "Tensor") -> None:
             if a.requires_grad:
-                a._accumulate(out.grad @ b.data.T)
+                a._accumulate(out.grad @ b.data.T, fresh=True)
             if b.requires_grad:
-                b._accumulate(a.data.T @ out.grad)
+                b._accumulate(a.data.T @ out.grad, fresh=True)
 
         return Tensor._make(a.data @ b.data, (a, b), backward)
+
+    def linear(self, w, b) -> "Tensor":
+        """x @ w + b as one node, for a (batch, in) input, an (in, out)
+        weight and an (out,) bias."""
+        x, w, b = self, as_tensor(w), as_tensor(b)
+        if x.ndim != 2 or w.ndim != 2:
+            raise DimensionError(f"linear expects 2-D operands, got {x.shape} @ {w.shape}")
+        if x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+            raise DimensionError(f"linear shapes {x.shape} @ {w.shape} + {b.shape} do not align")
+
+        def backward(out: "Tensor") -> None:
+            g = out.grad
+            if x.requires_grad:
+                x._accumulate(g @ w.data.T, fresh=True)
+            if w.requires_grad:
+                w._accumulate(x.data.T @ g, fresh=True)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0), fresh=True)
+
+        value = x.data @ w.data
+        value += b.data
+        return Tensor._make(value, (x, w, b), backward)
 
     # ------------------------------------------------------------------
     # elementwise nonlinearities
@@ -204,7 +242,7 @@ class Tensor:
         value = np.exp(a.data)
 
         def backward(out: "Tensor") -> None:
-            a._accumulate(out.grad * out.data)
+            a._accumulate(out.grad * out.data, fresh=True)
 
         return Tensor._make(value, (a,), backward)
 
@@ -214,7 +252,7 @@ class Tensor:
             raise DomainError("log requires strictly positive entries")
 
         def backward(out: "Tensor") -> None:
-            a._accumulate(out.grad / a.data)
+            a._accumulate(out.grad / a.data, fresh=True)
 
         return Tensor._make(np.log(a.data), (a,), backward)
 
@@ -226,7 +264,7 @@ class Tensor:
         value = np.tanh(a.data)
 
         def backward(out: "Tensor") -> None:
-            a._accumulate(out.grad * (1.0 - out.data * out.data))
+            a._accumulate(out.grad * (1.0 - out.data * out.data), fresh=True)
 
         return Tensor._make(value, (a,), backward)
 
@@ -238,7 +276,7 @@ class Tensor:
                          np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
 
         def backward(out: "Tensor") -> None:
-            a._accumulate(out.grad * out.data * (1.0 - out.data))
+            a._accumulate(out.grad * out.data * (1.0 - out.data), fresh=True)
 
         return Tensor._make(value, (a,), backward)
 
@@ -247,7 +285,7 @@ class Tensor:
         mask = a.data > 0.0  # subgradient at 0 is 0
 
         def backward(out: "Tensor") -> None:
-            a._accumulate(out.grad * mask)
+            a._accumulate(out.grad * mask, fresh=True)
 
         return Tensor._make(a.data * mask, (a,), backward)
 
@@ -262,7 +300,7 @@ class Tensor:
             mask &= a.data < hi
 
         def backward(out: "Tensor") -> None:
-            a._accumulate(out.grad * mask)
+            a._accumulate(out.grad * mask, fresh=True)
 
         return Tensor._make(value, (a,), backward)
 
@@ -308,7 +346,7 @@ class Tensor:
         def backward(out: "Tensor") -> None:
             g = np.zeros_like(a.data)
             np.add.at(g, idx, out.grad)
-            a._accumulate(g)
+            a._accumulate(g, fresh=True)
 
         return Tensor._make(np.array(value, copy=True), (a,), backward)
 
@@ -341,7 +379,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
 
 def as_tensor(x) -> Tensor:

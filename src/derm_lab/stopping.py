@@ -256,9 +256,12 @@ class BoundaryNet:
     def level(self, t: float, s: np.ndarray) -> np.ndarray:
         """Boundary level Phi at one time for states (m, d); pure numpy."""
         if self.time_only:
-            phi = self.net.forward_eval(np.array([[t / self.maturity]]))[0, 0]
-            return np.full(len(s), phi * self.out_scale)
+            return np.full(len(s), self.time_level(t))
         return self.net.forward_eval(self.features(t, s))[:, 0] * self.out_scale
+
+    def time_level(self, t: float) -> float:
+        """Phi(t) of a time-only boundary (see time_only): one net row."""
+        return self.net.forward_eval(np.array([[t / self.maturity]]))[0, 0] * self.out_scale
 
     # -- persistence -----------------------------------------------------
 
@@ -364,7 +367,7 @@ def _relaxed_value_node(p: Tensor, w: np.ndarray) -> Tensor:
         np.cumprod(1.0 - p.data[:-2], axis=0, out=surv[1:])
         grad = np.zeros_like(p.data)
         grad[:-1] = surv * (w[:-1] - c[1:]) * (out.grad / m)
-        p._accumulate(grad)
+        p._accumulate(grad, fresh=True)
 
     return Tensor._make(np.asarray(c[0].mean()), (p,), backward)
 
@@ -399,24 +402,36 @@ class PriceEstimate:
     n_paths: int
 
 
+# paths per block of the first-crossing scan: a block's per-date
+# temporaries stay in cache instead of being faulted in afresh each date
+_CROSSING_BLOCK = 4096
+
+
 def _first_crossing(boundary: BoundaryNet, batch: PathBatch,
                     spec: StoppingSpec) -> np.ndarray:
     """Index of the first time with orientation * (Phi - alpha) >= 0;
-    maturity if never crossed (ties stop)."""
+    maturity if never crossed (ties stop).
+
+    Paths are scanned in blocks of _CROSSING_BLOCK; within a block only
+    the live paths are evaluated at each date.  A time-only boundary is
+    evaluated once per date for all blocks."""
     times = spec.mesh.times
     n1 = times.size
-    m = batch.n_paths
-    tau = np.full(m, n1 - 1, dtype=np.int64)
-    undecided = np.ones(m, dtype=bool)
-    for k in range(n1 - 1):
-        if not undecided.any():
-            break
-        s_k = batch.prices[undecided, k, :]
-        gap = spec.orientation * (boundary.level(times[k], s_k) - spec.alpha(s_k))
-        hit = gap >= 0.0
-        idx = np.nonzero(undecided)[0][hit]
-        tau[idx] = k
-        undecided[idx] = False
+    tau = np.full(batch.n_paths, n1 - 1, dtype=np.int64)
+    levels = ([boundary.time_level(t) for t in times[:-1]]
+              if boundary.time_only else None)
+    for start in range(0, batch.n_paths, _CROSSING_BLOCK):
+        prices = batch.prices[start:start + _CROSSING_BLOCK]
+        tau_block = tau[start:start + _CROSSING_BLOCK]
+        live = np.arange(prices.shape[0])
+        for k in range(n1 - 1):
+            s_k = prices[live, k, :]
+            phi = boundary.level(times[k], s_k) if levels is None else levels[k]
+            hit = spec.orientation * (phi - spec.alpha(s_k)) >= 0.0
+            tau_block[live[hit]] = k
+            live = live[~hit]
+            if live.size == 0:
+                break
     return tau
 
 

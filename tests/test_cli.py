@@ -35,6 +35,15 @@ TINY_PUT = {"mesh": {"kind": "uniform", "maturity": 1.0, "n_steps": 8},
             "hidden": [4], "train": {"batch_size": 32, "iterations": 3},
             "eval": {"n_paths": 2048}}
 
+TINY_MAXCALL = {"mesh": {"kind": "uniform", "maturity": 3.0, "n_steps": 4},
+                "hidden": [4], "train": {"batch_size": 32, "iterations": 3},
+                "eval": {"n_paths": 5000}, "n_repeats": 2}
+
+# batch-norm policies (the default) in two pooled jobs
+TINY_HEDGE = {"strikes": [95.0, 105.0], "n_steps": 4, "hidden": [4],
+              "train": {"batch_size": 32, "iterations": 3},
+              "n_repeats": 1, "trace_paths": 4}
+
 
 # ----------------------------------------------------------------------
 # config plumbing
@@ -199,6 +208,45 @@ def test_put_boundary_run_artifacts_and_determinism(tmp_path):
     assert price["n_paths"] == 2048
     assert len((outs[0] / "boundary.csv").read_text().strip().split("\n")) == 1 + 9
     assert len((outs[0] / "loss.csv").read_text().strip().split("\n")) == 1 + 3
+
+
+def _pooled_runs_agree(tmp_path, monkeypatch, tag, payload, artifacts):
+    """Two serial runs and one over two workers: the artifact set matches
+    the manifest and every artifact is byte-identical across the runs."""
+    cfg = write_cfg(tmp_path, payload)
+    outs = []
+    for name, workers in (("r1", "1"), ("r2", "1"), ("pooled", "2")):
+        monkeypatch.setenv("DERM_LAB_WORKERS", workers)
+        outs.append(tmp_path / name)
+        assert main([tag, "--config", cfg, "--out", str(outs[-1])]) == EXIT_OK
+    assert {f.name for f in outs[0].iterdir()} == artifacts | {"manifest.json"}
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert {f["name"] for f in manifest["files"]} == artifacts
+    for name in artifacts:
+        first = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == first for out in outs[1:]), name
+    return outs[0]
+
+
+def test_maxcall_run_artifacts_and_determinism(tmp_path, monkeypatch):
+    out = _pooled_runs_agree(
+        tmp_path, monkeypatch, "maxcall", TINY_MAXCALL,
+        {"runs.csv", "summary.json", "boundary.json", "boundary.csv", "loss.csv"})
+    runs = (out / "runs.csv").read_text().strip().split("\n")
+    assert len(runs) == 1 + 2
+    assert all(row.endswith(",5000,3") for row in runs[1:])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_repeats"] == 2 and np.isfinite(summary["price_mean"])
+
+
+def test_heston_hedge_run_artifacts_and_determinism(tmp_path, monkeypatch):
+    out = _pooled_runs_agree(
+        tmp_path, monkeypatch, "heston-hedge", TINY_HEDGE,
+        {"prices.csv", "summary.csv", "trace_full.csv", "trace_half.csv"})
+    assert len((out / "prices.csv").read_text().strip().split("\n")) == 1 + 2
+    assert len((out / "summary.csv").read_text().strip().split("\n")) == 1 + 2
+    # 4 trace paths x 5 dates
+    assert len((out / "trace_full.csv").read_text().strip().split("\n")) == 1 + 4 * 5
 
 
 def test_worker_count_does_not_change_results(tmp_path, monkeypatch):

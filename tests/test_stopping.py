@@ -5,6 +5,9 @@ valued relaxation equals the sharp first-crossing value, and degenerate
 boundaries (always stop, never stop) have closed-form prices.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +19,7 @@ from derm_lab.nn import MLP
 from derm_lab.nn.tensor import Tensor, gradcheck
 from derm_lab.nn.train import TrainConfig
 from derm_lab.oracles import bs_put_price
+from derm_lab import stopping
 from derm_lab.rng import derive_rng
 from derm_lab.stopping import (BoundaryNet, StoppingSpec, boundary_agreement,
                                boundary_grid_rows, evaluate_price,
@@ -226,6 +230,25 @@ def test_fused_graph_matches_per_row_reference(case):
         assert np.max(np.abs(g - w)) <= 1e-12 * scale
 
 
+def test_relaxed_value_graph_is_freed_without_the_cyclic_collector():
+    spec, boundary = maxcall_setup()
+    market = GbmParams(s0=[90.0, 90.0], rate=0.05, sigma=0.2, div=0.1)
+    batch = simulate_gbm(market, spec.mesh, 64, derive_rng(17, "gc"))
+    gc.collect()
+    gc.disable()
+    try:
+        value = _relaxed_value_graph(boundary, batch, spec)
+        node = weakref.ref(value)
+        loss = -value
+        del value
+        loss.backward()
+        assert node() is not None  # the loss still holds its graph
+        del loss
+        assert node() is None
+    finally:
+        gc.enable()
+
+
 def test_put_boundary_runs_one_row_per_date():
     boundary = put_boundary()
     assert boundary.time_only
@@ -249,6 +272,40 @@ def test_put_boundary_runs_one_row_per_date():
 
 # ----------------------------------------------------------------------
 # degenerate boundaries have known prices
+
+
+def _per_path_first_crossing(boundary, batch, spec):
+    """First crossing read off the full (date, path) gap matrix, with one
+    net row per (date, path) and no blocks."""
+    times = spec.mesh.times
+    gaps = np.stack([
+        spec.orientation * (boundary.net.forward_eval(boundary.features(t, s))[:, 0]
+                            * boundary.out_scale - spec.alpha(s))
+        for t, s in ((times[k], batch.prices[:, k, :]) for k in range(times.size - 1))])
+    hit = gaps >= 0.0
+    return np.where(hit.any(axis=0), hit.argmax(axis=0), times.size - 1)
+
+
+@pytest.mark.parametrize("block", [None, 97])
+@pytest.mark.parametrize("kind", ["put", "max_call"])
+def test_blocked_first_crossing_matches_per_path_reference(kind, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(stopping, "_CROSSING_BLOCK", block)
+    if kind == "put":
+        spec, boundary, market = put_spec(), put_boundary(), PUT_MARKET
+        assert boundary.time_only
+    else:
+        spec, boundary = maxcall_setup()
+        market = GbmParams(s0=[110.0, 110.0], rate=0.05, sigma=0.2, div=0.1)
+    m = 5000  # not a multiple of either block size
+    batch = simulate_gbm(market, spec.mesh, m, derive_rng(16, "blocks"))
+    tau = _first_crossing(boundary, batch, spec)
+    want = _per_path_first_crossing(boundary, batch, spec)
+    assert np.array_equal(tau, want)
+    # the check means something: paths stop early, late and never
+    n = spec.mesh.times.size - 1
+    assert 0 < np.count_nonzero(tau < n) < m
+    assert np.unique(tau[tau < n]).size > 2
 
 
 def test_always_stop_put_pays_intrinsic():

@@ -213,3 +213,64 @@ def test_deep_chain_does_not_hit_recursion_limit():
         h = h * 1.0001
     h.sum().backward()
     assert a.grad is not None and np.isfinite(a.grad).all()
+
+
+# ----------------------------------------------------------------------
+# fused linear node and graph lifetime
+
+
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+@pytest.mark.parametrize("rows", [2, 7])
+def test_gradcheck_linear(x_needs_grad, rows):
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.normal(size=(rows, 4)), requires_grad=x_needs_grad)
+    w, b = _rand(rng, 4, 3), _rand(rng, 3)
+    tensors = [w, b, x] if x_needs_grad else [w, b]
+
+    def fn(ts):
+        return (x.linear(w, b) ** 2.0).mean()
+
+    assert gradcheck(fn, tensors) < TOL
+    if not x_needs_grad:
+        assert x.grad is None
+
+
+def test_linear_matches_composed_ops():
+    rng = np.random.default_rng(21)
+    x = _rand(rng, 6, 4)
+    w, b = _rand(rng, 4, 3), _rand(rng, 3)
+    fused = x.linear(w, b)
+    composed = x @ w + b
+    assert np.array_equal(fused.data, composed.data)
+    g = rng.normal(size=(6, 3))
+    grads = []
+    for out in (fused, composed):
+        for t in (x, w, b):
+            t.zero_grad()
+        (out * g).sum().backward()
+        grads.append([t.grad.copy() for t in (x, w, b)])
+    for got, want in zip(*grads):
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_linear_shape_errors():
+    x = Tensor(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        x.linear(np.ones((4, 2)), np.zeros(2))
+    with pytest.raises(DimensionError):
+        x.linear(np.ones((3, 2)), np.zeros(3))
+    with pytest.raises(DimensionError):
+        Tensor(np.ones(3)).linear(np.ones((3, 2)), np.zeros(2))
+
+
+def test_gradient_buffers_never_alias():
+    a = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, -4.0]), requires_grad=True)
+    y = a + b  # passes its own gradient down: the parents must copy it
+    z = y.relu()  # a fresh array: y may keep it
+    (z * 2.0).sum().backward()
+    buffers = [a.grad, b.grad, y.grad, z.grad]
+    for i, u in enumerate(buffers):
+        for v in buffers[i + 1:]:
+            assert not np.shares_memory(u, v)
+    assert np.array_equal(a.grad, [2.0, 0.0])
