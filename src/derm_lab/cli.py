@@ -22,6 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+from referencing import Registry, Resource
 
 from .errors import ConfigError, DermError
 from .experiments import config_hash, effective_config, emit_plots, run_experiment
@@ -39,10 +40,20 @@ def load_schema(tag: str) -> dict:
         return json.load(fh)
 
 
+def _schema_registry() -> Registry:
+    """Every bundled schema file by name, so that references such as
+    "common.json#/$defs/train" resolve."""
+    files = resources.files("derm_lab.schemas")
+    return Registry().with_resources(
+        (f.name, Resource.from_contents(json.loads(f.read_text())))
+        for f in files.iterdir() if f.name.endswith(".json"))
+
+
 def validate_config(tag: str, cfg: dict) -> None:
     """Schema-check an effective config; raises ConfigError with the
     JSON path of the first offending field."""
-    validator = jsonschema.Draft202012Validator(load_schema(tag))
+    validator = jsonschema.Draft202012Validator(load_schema(tag),
+                                                registry=_schema_registry())
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]

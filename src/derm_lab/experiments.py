@@ -31,15 +31,14 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .markets import GbmParams, HestonParams, TimeMesh, simulate_heston
-from .merton import (MertonSpec, merton_table_csv, run_overlearning_experiment,
-                     run_single_repeat)
-from .hedging import (HedgePolicy, HedgingSpec, hedge_trace_csv,
+from .merton import MertonSpec, run_single_repeat
+from .hedging import (HedgePolicy, HedgingSpec, hedge_trace_rows,
                       train_price_and_hedge, train_pure_hedge, wealth_rollout)
 from .nn import MLP, TrainConfig
 from .oracles import (american_put_fd, binomial_american, bs_call_price,
-                      bs_put_price, heston_call_quote, lsm_max_call)
+                      bs_put_price, heston_call_quote, lsm)
 from .rng import derive_rng, substream
-from .stopping import (BoundaryNet, StoppingSpec, boundary_grid_csv,
+from .stopping import (BoundaryNet, StoppingSpec, boundary_grid_rows,
                        evaluate_price, price_report, train_boundary)
 
 __all__ = [
@@ -203,16 +202,32 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
     )
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
 
 
-def _write_loss_csv(path: Path, losses) -> None:
+def _write_csv(path: Path, header, rows) -> Path:
+    """The one CSV writer.  Floats (numpy scalars too) become Python floats,
+    which csv writes as repr(float(v)): shortest round-trip, so files are
+    byte-stable.  Ints and strings are written with str."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "loss"])
-        for i, value in enumerate(losses):
-            writer.writerow([i, repr(float(value))])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([float(v) if isinstance(v, float) else v for v in row])
+    return path
+
+
+def _spread(values) -> float:
+    """Sample standard deviation across repeats; 0 for a single repeat."""
+    values = np.asarray(values, dtype=np.float64)
+    return float(values.std(ddof=1)) if values.size > 1 else 0.0
+
+
+def _fd_boundary_csv(path: Path, sol) -> Path:
+    return _write_csv(path, ["time", "level"],
+                      zip(sol.boundary_times, sol.boundary_levels))
 
 
 class _Manifest:
@@ -229,7 +244,6 @@ class _Manifest:
             "paper_scale": paper_scale,
             "workers": workers,
             "repeat_seeds": [],
-            "files": [],
             "timings": {},
         }
         self._t0 = time.perf_counter()
@@ -240,10 +254,9 @@ class _Manifest:
         self.payload["timings"][name] = now - self._phase_start
         self._phase_start = now
 
-    def add_file(self, path: Path) -> None:
-        self.payload["files"].append({"name": path.name, "bytes": path.stat().st_size})
-
-    def write(self, out_dir: Path) -> None:
+    def write(self, out_dir: Path, files: list[Path]) -> None:
+        self.payload["files"] = [{"name": path.name, "bytes": path.stat().st_size}
+                                 for path in files]
         self.payload["timings"]["total"] = time.perf_counter() - self._t0
         _write_json(out_dir / "manifest.json", self.payload)
 
@@ -312,18 +325,17 @@ def _hedge_job(payload: dict) -> dict:
     return out
 
 
+_MERTON_REPORT_KEYS = ("v_in", "v_out", "ce_in", "ce_out", "v_star", "ce_star",
+                       "p_in", "p_out", "gap")
+
+
 def _merton_job(payload: dict) -> dict:
     spec = MertonSpec(**payload["spec"])
     config = _train_config(payload["train"], payload["seed"])
     report = run_single_repeat(spec, tuple(payload["hidden"]), config,
                                payload["root_seed"], payload["repeat"],
                                n_eval=payload["n_eval"])
-    return {
-        "v_in": report.v_in, "v_out": report.v_out,
-        "ce_in": report.ce_in, "ce_out": report.ce_out,
-        "v_star": report.v_star, "ce_star": report.ce_star,
-        "p_in": report.p_in, "p_out": report.p_out, "gap": report.gap,
-    }
+    return {key: getattr(report, key) for key in _MERTON_REPORT_KEYS}
 
 
 # ----------------------------------------------------------------------
@@ -351,19 +363,15 @@ def run_put_boundary(cfg: dict, out_dir: Path, workers: int,
     estimate = evaluate_price(boundary, market, spec, cfg["eval"]["n_paths"], seed)
     manifest.phase("evaluate")
 
-    files = []
-    price_path = out_dir / "price.json"
-    _write_json(price_path, price_report(estimate, spec, seed))
-    files.append(price_path)
-    boundary_path = out_dir / "boundary.csv"
-    boundary_grid_csv(boundary, spec, boundary_path)
-    files.append(boundary_path)
-    ckpt_path = out_dir / "boundary.json"
-    boundary.save(ckpt_path)
-    files.append(ckpt_path)
-    loss_path = out_dir / "loss.csv"
-    _write_loss_csv(loss_path, report.losses)
-    files.append(loss_path)
+    files = [
+        _write_json(out_dir / "price.json", price_report(estimate, spec, seed)),
+        _write_csv(out_dir / "boundary.csv", ["time", "level"],
+                   boundary_grid_rows(boundary, spec)),
+    ]
+    boundary.save(out_dir / "boundary.json")
+    files.append(out_dir / "boundary.json")
+    files.append(_write_csv(out_dir / "loss.csv", ["iteration", "loss"],
+                            enumerate(report.losses)))
 
     summary = {"price": estimate.price, "std_error": estimate.std_error}
     if cfg["fd_reference"]:
@@ -371,24 +379,15 @@ def run_put_boundary(cfg: dict, out_dir: Path, workers: int,
                              market.sigma[0], mesh.maturity,
                              exercise_times=mesh.times)
         rel_dev = abs(estimate.price - fd.price) / fd.price
-        fd_path = out_dir / "fd_reference.json"
-        _write_json(fd_path, {"price": fd.price, "neural_price": estimate.price,
-                              "rel_dev": rel_dev})
-        files.append(fd_path)
-        fd_boundary_path = out_dir / "fd_boundary.csv"
-        with open(fd_boundary_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "level"])
-            for t, lev in zip(fd.boundary_times, fd.boundary_levels):
-                writer.writerow([repr(float(t)), repr(float(lev))])
-        files.append(fd_boundary_path)
+        files.append(_write_json(out_dir / "fd_reference.json",
+                                 {"price": fd.price, "neural_price": estimate.price,
+                                  "rel_dev": rel_dev}))
+        files.append(_fd_boundary_csv(out_dir / "fd_boundary.csv", fd))
         summary["fd_price"] = fd.price
         summary["rel_dev"] = rel_dev
         manifest.phase("fd_reference")
 
-    for f in files:
-        manifest.add_file(f)
-    manifest.write(out_dir)
+    manifest.write(out_dir, files)
     return summary
 
 
@@ -408,27 +407,20 @@ def run_maxcall(cfg: dict, out_dir: Path, workers: int,
     results = _map_jobs(_maxcall_job, payloads, workers)
     manifest.phase("train_evaluate")
 
-    files = []
-    runs_path = out_dir / "runs.csv"
-    with open(runs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["repeat", "seed", "price", "std_error", "n_paths",
-                         "iterations_run"])
-        for r, (s, res) in enumerate(zip(seeds, results)):
-            writer.writerow([r, s, repr(res["price"]), repr(res["std_error"]),
-                             res["n_paths"], res["iterations_run"]])
-    files.append(runs_path)
+    files = [_write_csv(
+        out_dir / "runs.csv",
+        ["repeat", "seed", "price", "std_error", "n_paths", "iterations_run"],
+        [(r, s, res["price"], res["std_error"], res["n_paths"], res["iterations_run"])
+         for r, (s, res) in enumerate(zip(seeds, results))])]
 
-    prices = np.array([res["price"] for res in results])
+    prices = [res["price"] for res in results]
     summary = {
-        "price_mean": float(prices.mean()),
-        "price_std_across_runs": float(prices.std(ddof=1)) if n_repeats > 1 else 0.0,
+        "price_mean": float(np.mean(prices)),
+        "price_std_across_runs": _spread(prices),
         "mc_std_error": results[0]["std_error"],
         "n_repeats": n_repeats,
     }
-    summary_path = out_dir / "summary.json"
-    _write_json(summary_path, summary)
-    files.append(summary_path)
+    files.append(_write_json(out_dir / "summary.json", summary))
 
     market = GbmParams(**cfg["market"])
     mesh = _build_mesh(cfg["mesh"])
@@ -436,19 +428,15 @@ def run_maxcall(cfg: dict, out_dir: Path, workers: int,
                         rate=market.rate, mesh=mesh, eps=cfg["eps"],
                         g_kind=cfg["g_kind"])
     boundary = BoundaryNet.from_dict(results[0]["boundary"])
-    ckpt_path = out_dir / "boundary.json"
-    boundary.save(ckpt_path)
-    files.append(ckpt_path)
-    boundary_path = out_dir / "boundary.csv"
-    boundary_grid_csv(boundary, spec, boundary_path)
-    files.append(boundary_path)
-    loss_path = out_dir / "loss.csv"
-    _write_loss_csv(loss_path, results[0]["losses"])
-    files.append(loss_path)
+    boundary.save(out_dir / "boundary.json")
+    files.append(out_dir / "boundary.json")
+    coords = [f"z{i + 1}" for i in range(boundary.n_assets)]
+    files.append(_write_csv(out_dir / "boundary.csv", ["time", *coords, "level"],
+                            boundary_grid_rows(boundary, spec)))
+    files.append(_write_csv(out_dir / "loss.csv", ["iteration", "loss"],
+                            enumerate(results[0]["losses"])))
 
-    for f in files:
-        manifest.add_file(f)
-    manifest.write(out_dir)
+    manifest.write(out_dir, files)
     return summary
 
 
@@ -477,47 +465,31 @@ def run_heston_hedge(cfg: dict, out_dir: Path, workers: int,
     results = _map_jobs(_hedge_job, payloads, workers)
     manifest.phase("train")
 
-    files = []
-    oracle_prices = {
-        strike: heston_call_quote(market, strike, cfg["maturity"]).price
-        for strike in strikes
-    }
-    prices_path = out_dir / "prices.csv"
-    with open(prices_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strike", "repeat", "seed", "learned_price",
-                         "oracle_price", "abs_error"])
-        for si, strike in enumerate(strikes):
-            for r in range(n_repeats):
-                res = results[si * n_repeats + r]
-                writer.writerow([repr(float(strike)), r,
-                                 all_seeds[si * n_repeats + r],
-                                 repr(res["learned_price"]),
-                                 repr(oracle_prices[strike]),
-                                 repr(abs(res["learned_price"] - oracle_prices[strike]))])
-    files.append(prices_path)
-
+    price_rows = []
     summary_rows = []
     for si, strike in enumerate(strikes):
-        learned = np.array([results[si * n_repeats + r]["learned_price"]
-                            for r in range(n_repeats)])
+        oracle = heston_call_quote(market, strike, cfg["maturity"]).price
+        learned = []
+        for r in range(n_repeats):
+            k = si * n_repeats + r
+            price = results[k]["learned_price"]
+            learned.append(price)
+            price_rows.append((float(strike), r, all_seeds[k], price, oracle,
+                               abs(price - oracle)))
         summary_rows.append({
             "strike": float(strike),
-            "oracle_price": oracle_prices[strike],
-            "price_mean": float(learned.mean()),
-            "avg_abs_error": float(np.abs(learned - oracle_prices[strike]).mean()),
-            "error_std": float(learned.std(ddof=1)) if n_repeats > 1 else 0.0,
+            "oracle_price": oracle,
+            "price_mean": float(np.mean(learned)),
+            "avg_abs_error": float(np.abs(np.array(learned) - oracle).mean()),
+            "error_std": _spread(learned),
         })
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strike", "oracle_price", "price_mean",
-                         "avg_abs_error", "error_std"])
-        for row in summary_rows:
-            writer.writerow([repr(row["strike"]), repr(row["oracle_price"]),
-                             repr(row["price_mean"]), repr(row["avg_abs_error"]),
-                             repr(row["error_std"])])
-    files.append(summary_path)
+    summary_header = ["strike", "oracle_price", "price_mean", "avg_abs_error", "error_std"]
+    files = [
+        _write_csv(out_dir / "prices.csv", ["strike", "repeat", "seed", "learned_price",
+                                            "oracle_price", "abs_error"], price_rows),
+        _write_csv(out_dir / "summary.csv", summary_header,
+                   [[row[k] for k in summary_header] for row in summary_rows]),
+    ]
     manifest.phase("aggregate")
 
     # Figure-style traces: one trained policy, common paths, full vs half
@@ -536,15 +508,12 @@ def run_heston_hedge(cfg: dict, out_dir: Path, workers: int,
         x_full = first["learned_price"] if cfg["x0_mode"] == "learnable" else float(cfg["x0"])
         for label, x0 in (("full", x_full), ("half", 0.5 * x_full)):
             outcome = wealth_rollout(policy, x0, trace_batch, spec)
-            trace_path = out_dir / f"trace_{label}.csv"
-            hedge_trace_csv(outcome, trace_batch, trace_path,
-                            max_paths=cfg["trace_paths"])
-            files.append(trace_path)
+            files.append(_write_csv(out_dir / f"trace_{label}.csv",
+                                    ["path_id", "time", "stock", "wealth", "position"],
+                                    hedge_trace_rows(outcome, trace_batch)))
         manifest.phase("traces")
 
-    for f in files:
-        manifest.add_file(f)
-    manifest.write(out_dir)
+    manifest.write(out_dir, files)
     return {"summary": summary_rows}
 
 
@@ -552,9 +521,9 @@ def run_merton(cfg: dict, out_dir: Path, workers: int,
                paper_scale: bool = False) -> dict:
     manifest = _Manifest("merton", cfg, paper_scale, workers)
     n_repeats = cfg["n_repeats"]
-    files = []
-    stats_by_dim = []
-    rows = []
+    report_rows = []
+    table_rows = []
+    dims = []
     for dim in cfg["dims"]:
         spec = MertonSpec.with_defaults(dim, n_data=cfg["n_data"],
                                         regime=cfg["regime"], rate=cfg["rate"])
@@ -568,52 +537,25 @@ def run_merton(cfg: dict, out_dir: Path, workers: int,
             "n_eval": cfg["n_eval"],
         } for r in range(n_repeats)]
         results = _map_jobs(_merton_job, payloads, workers)
-        for r, res in enumerate(results):
-            rows.append({"dim": dim, "repeat": r, **res})
-        p_in = np.array([res["p_in"] for res in results])
-        gap = np.array([res["gap"] for res in results])
-        stats_by_dim.append(_MertonStats(
-            dim=dim,
-            p_in_mean=float(p_in.mean()),
-            p_in_std=float(p_in.std(ddof=1)) if n_repeats > 1 else 0.0,
-            gap_mean=float(gap.mean()),
-            gap_std=float(gap.std(ddof=1)) if n_repeats > 1 else 0.0,
-        ))
+        report_rows += [(dim, r, *(res[k] for k in _MERTON_REPORT_KEYS))
+                        for r, res in enumerate(results)]
+        p_in = [res["p_in"] for res in results]
+        gap = [res["gap"] for res in results]
+        dims.append({"dim": dim, "p_in_mean": float(np.mean(p_in)),
+                     "gap_mean": float(np.mean(gap))})
+        # table values in percent
+        table_rows.append((dim, 100.0 * dims[-1]["p_in_mean"], 100.0 * _spread(p_in),
+                           100.0 * dims[-1]["gap_mean"], 100.0 * _spread(gap)))
         manifest.phase(f"dim_{dim}")
 
-    reports_path = out_dir / "reports.csv"
-    with open(reports_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["dim", "repeat", "v_in", "v_out", "ce_in", "ce_out",
-                  "v_star", "ce_star", "p_in", "p_out", "gap"]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row["dim"], row["repeat"]] +
-                            [repr(float(row[k])) for k in header[2:]])
-    files.append(reports_path)
-
-    table_path = out_dir / "table.csv"
-    merton_table_csv(stats_by_dim, table_path)
-    files.append(table_path)
-
-    for f in files:
-        manifest.add_file(f)
-    manifest.write(out_dir)
-    return {"dims": [
-        {"dim": st.dim, "p_in_mean": st.p_in_mean, "gap_mean": st.gap_mean}
-        for st in stats_by_dim
-    ]}
-
-
-class _MertonStats:
-    """Duck-typed row for merton_table_csv built from pooled job results."""
-
-    def __init__(self, dim, p_in_mean, p_in_std, gap_mean, gap_std):
-        self.dim = dim
-        self.p_in_mean = p_in_mean
-        self.p_in_std = p_in_std
-        self.gap_mean = gap_mean
-        self.gap_std = gap_std
+    files = [
+        _write_csv(out_dir / "reports.csv", ["dim", "repeat", *_MERTON_REPORT_KEYS],
+                   report_rows),
+        _write_csv(out_dir / "table.csv", ["dim", "p_in_mean_pct", "p_in_std_pct",
+                                           "gap_mean_pct", "gap_std_pct"], table_rows),
+    ]
+    manifest.write(out_dir, files)
+    return {"dims": dims}
 
 
 def run_oracle(cfg: dict, out_dir: Path, workers: int,
@@ -622,21 +564,19 @@ def run_oracle(cfg: dict, out_dir: Path, workers: int,
     method = cfg["method"]
     params = cfg["params"]
     seed = cfg["seed"]
-    files = []
-    boundary_rows = None
+    fd = None
     std_error = None
 
     if method == "fd-american-put":
         exercise = None
         if "exercise_mesh" in params:
             exercise = _build_mesh(params["exercise_mesh"]).times
-        sol = american_put_fd(params["s0"], params["strike"], params["rate"],
-                              params["sigma"], params["maturity"],
-                              n_space=params.get("n_space", 500),
-                              n_time=params.get("n_time", 800),
-                              exercise_times=exercise)
-        price, error_estimate = sol.price, None
-        boundary_rows = list(zip(sol.boundary_times, sol.boundary_levels))
+        fd = american_put_fd(params["s0"], params["strike"], params["rate"],
+                             params["sigma"], params["maturity"],
+                             n_space=params.get("n_space", 500),
+                             n_time=params.get("n_time", 800),
+                             exercise_times=exercise)
+        price, error_estimate = fd.price, None
     elif method == "heston-call":
         market = _heston_params(params["market"])
         quote = heston_call_quote(market, params["strike"], params["maturity"])
@@ -649,9 +589,10 @@ def run_oracle(cfg: dict, out_dir: Path, workers: int,
     elif method == "lsm-max-call":
         market = GbmParams(**params["market"])
         mesh = _build_mesh(params["mesh"])
-        res = lsm_max_call(market, params["strike"], mesh, params["n_paths"],
-                           derive_rng(seed, "lsm"),
-                           degree=params.get("degree", 2))
+        # through the module, so that a patched lsm.lsm_price is the one called
+        res = lsm.lsm_price(market, params["strike"], mesh, params["n_paths"],
+                            derive_rng(seed, "lsm"), payoff_kind="max_call",
+                            degree=params.get("degree", 2))
         price, error_estimate = res.price, res.std_error
         std_error = res.std_error
     elif method == "binomial-american":
@@ -668,22 +609,11 @@ def run_oracle(cfg: dict, out_dir: Path, workers: int,
                "error_estimate": error_estimate}
     if std_error is not None:
         payload["std_error"] = std_error
-    price_path = out_dir / "price.json"
-    _write_json(price_path, payload)
-    files.append(price_path)
+    files = [_write_json(out_dir / "price.json", payload)]
+    if fd is not None:
+        files.append(_fd_boundary_csv(out_dir / "fd_boundary.csv", fd))
 
-    if boundary_rows is not None:
-        fd_boundary_path = out_dir / "fd_boundary.csv"
-        with open(fd_boundary_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "level"])
-            for t, lev in boundary_rows:
-                writer.writerow([repr(float(t)), repr(float(lev))])
-        files.append(fd_boundary_path)
-
-    for f in files:
-        manifest.add_file(f)
-    manifest.write(out_dir)
+    manifest.write(out_dir, files)
     return payload
 
 
@@ -776,11 +706,4 @@ def emit_plots(run_dir: Path, out_dir: Path | None = None) -> list[Path]:
         raise ConfigError(f"unknown experiment {tag!r} in manifest")
 
     plots.mkdir(parents=True, exist_ok=True)
-    written = []
-    for path, header, rows in staged:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        written.append(path)
-    return written
+    return [_write_csv(path, header, rows) for path, header, rows in staged]

@@ -19,8 +19,8 @@ so the time discretization can change without re-architecting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +36,7 @@ __all__ = [
     "wealth_rollout",
     "train_pure_hedge",
     "train_price_and_hedge",
-    "hedge_trace_csv",
+    "hedge_trace_rows",
 ]
 
 POLICY_INPUT_MODES = ("t_s", "t_x_z")
@@ -278,17 +278,11 @@ def train_price_and_hedge(spec: HedgingSpec, config: TrainConfig,
     return report, policy
 
 
-def hedge_trace_csv(outcome: HedgeOutcome, batch: PathBatch, path,
-                    max_paths: int = 16) -> None:
-    """(path_id, time, S_t, X_t, pi_t) rows; pi is empty at maturity."""
-    times = batch.mesh.times
-    n_paths = min(max_paths, outcome.wealth.shape[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "time", "stock", "wealth", "position"])
-        for i in range(n_paths):
-            for k, t in enumerate(times):
-                pi = repr(float(outcome.positions[i, k])) if k < len(times) - 1 else ""
-                writer.writerow([i, repr(float(t)),
-                                 repr(float(batch.prices[i, k, 0])),
-                                 repr(float(outcome.wealth[i, k])), pi])
+def hedge_trace_rows(outcome: HedgeOutcome, batch: PathBatch) -> Iterator[tuple]:
+    """(path_id, time, S_t, X_t, pi_t) rows of every path, one at a time so
+    that thousands of paths are never held as Python rows; pi is empty at
+    maturity."""
+    times = batch.mesh.times.tolist()
+    for i in range(batch.n_paths):
+        yield from zip([i] * len(times), times, batch.prices[i, :, 0].tolist(),
+                       outcome.wealth[i].tolist(), outcome.positions[i].tolist() + [""])

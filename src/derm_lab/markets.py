@@ -14,7 +14,6 @@ fastest.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -29,9 +28,6 @@ __all__ = [
     "PathBatch",
     "simulate_gbm",
     "simulate_heston",
-    "returns_from_prices",
-    "prices_from_returns",
-    "dump_paths_csv",
     "RISK_NEUTRAL",
     "TILTED",
 ]
@@ -247,24 +243,6 @@ class PathBatch:
                                f"(drift tilt {self.drift_tilt:+g})")
 
 
-def returns_from_prices(prices: np.ndarray, mesh: TimeMesh | None = None) -> np.ndarray:
-    """Entrywise simple returns (S_{t+1} - S_t)/S_t; mesh accepted for
-    signature symmetry but not needed."""
-    prices = np.asarray(prices, dtype=np.float64)
-    return (prices[:, 1:, :] - prices[:, :-1, :]) / prices[:, :-1, :]
-
-
-def prices_from_returns(s0: np.ndarray, returns: np.ndarray) -> np.ndarray:
-    """Reconstruct price paths from initial prices and simple returns."""
-    returns = np.asarray(returns, dtype=np.float64)
-    m, n, d = returns.shape
-    prices = np.empty((m, n + 1, d))
-    prices[:, 0, :] = s0
-    np.cumprod(1.0 + returns, axis=1, out=prices[:, 1:, :])
-    prices[:, 1:, :] *= prices[:, 0:1, :]
-    return prices
-
-
 # ----------------------------------------------------------------------
 # simulators
 
@@ -308,7 +286,8 @@ def simulate_heston(params: HestonParams, mesh: TimeMesh, n_paths: int,
                     rng: np.random.Generator) -> PathBatch:
     """Full-truncation Euler: the variance enters drift and diffusion through
     v+ = max(v, 0); the stored variance is clamped at zero after each step.
-    The stock is stepped in log space."""
+    The stock is stepped in log space.  A stock drift mu other than the rate
+    tags the batch as tilted, with drift_tilt = mu - rate."""
     if n_paths <= 0:
         raise ContractError("n_paths must be positive")
     if not params.feller_ok:
@@ -331,22 +310,6 @@ def simulate_heston(params: HestonParams, mesh: TimeMesh, n_paths: int,
             + params.sigma_vol * root * z_v
         v = np.maximum(v, 0.0)
         prices[:, k + 1, 0] = np.exp(log_s)
-    return PathBatch(prices=prices, mesh=mesh, measure=RISK_NEUTRAL)
-
-
-# ----------------------------------------------------------------------
-# export
-
-
-def dump_paths_csv(batch: PathBatch, path) -> None:
-    """Write (path, time_index, time, asset, price) rows; floats via repr
-    so files are byte-stable across runs."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "time_index", "time", "asset", "price"])
-        times = batch.mesh.times
-        for i in range(batch.n_paths):
-            for k in range(times.size):
-                for j in range(batch.n_assets):
-                    writer.writerow([i, k, repr(float(times[k])), j,
-                                     repr(float(batch.prices[i, k, j]))])
+    tilt = params.mu - params.rate
+    measure = TILTED if tilt != 0.0 else RISK_NEUTRAL
+    return PathBatch(prices=prices, mesh=mesh, measure=measure, drift_tilt=tilt)

@@ -19,7 +19,6 @@ the unique solution of 1 - e^{-ce} = v.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -32,15 +31,12 @@ from .rng import derive_rng
 __all__ = [
     "MertonSpec",
     "UtilityReport",
-    "MertonRunStats",
     "certainty_equivalent",
     "closed_form_optimum",
     "simulate_periods",
     "utility_value",
     "train_portfolio",
     "run_single_repeat",
-    "run_overlearning_experiment",
-    "merton_table_csv",
 ]
 
 REGIMES = ("fixed-dataset", "continual-simulation")
@@ -261,18 +257,6 @@ class UtilityReport:
         return self.p_in - self.p_out
 
 
-@dataclass(frozen=True)
-class MertonRunStats:
-    """Aggregate over repeats for one dimension."""
-
-    dim: int
-    reports: tuple
-    p_in_mean: float
-    p_in_std: float
-    gap_mean: float
-    gap_std: float
-
-
 def run_single_repeat(spec: MertonSpec, hidden, config: TrainConfig,
                       root_seed: int, repeat: int,
                       n_eval: int = 1 << 16) -> UtilityReport:
@@ -295,42 +279,3 @@ def run_single_repeat(spec: MertonSpec, hidden, config: TrainConfig,
                          ce_in=certainty_equivalent(v_in),
                          ce_out=certainty_equivalent(v_out),
                          v_star=v_star, ce_star=certainty_equivalent(v_star))
-
-
-def run_overlearning_experiment(spec: MertonSpec, hidden=(10, 10, 10),
-                                config: TrainConfig | None = None,
-                                n_repeats: int = 30, seed: int = 0,
-                                n_eval: int = 1 << 16,
-                                repeat_runner=None) -> MertonRunStats:
-    """n_repeats independent train/evaluate cycles; summary statistics of
-    the in-sample overperformance and the in/out gap.
-
-    repeat_runner, when given, maps run_single_repeat's argument tuples to
-    reports (hook for process-parallel execution).
-    """
-    if config is None:
-        config = TrainConfig(batch_size=512, iterations=4000, seed=seed)
-    args = [(spec, hidden, config, seed, rep, n_eval) for rep in range(n_repeats)]
-    if repeat_runner is None:
-        reports = [run_single_repeat(*a) for a in args]
-    else:
-        reports = list(repeat_runner(args))
-    p_in = np.array([r.p_in for r in reports])
-    gap = np.array([r.gap for r in reports])
-    return MertonRunStats(
-        dim=spec.d, reports=tuple(reports),
-        p_in_mean=float(p_in.mean()), p_in_std=float(p_in.std(ddof=1)) if n_repeats > 1 else 0.0,
-        gap_mean=float(gap.mean()), gap_std=float(gap.std(ddof=1)) if n_repeats > 1 else 0.0,
-    )
-
-
-def merton_table_csv(stats_by_dim: list[MertonRunStats], path) -> None:
-    """Per-dimension summary table (values in percent)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dim", "p_in_mean_pct", "p_in_std_pct",
-                         "gap_mean_pct", "gap_std_pct"])
-        for st in stats_by_dim:
-            writer.writerow([st.dim,
-                             repr(100.0 * st.p_in_mean), repr(100.0 * st.p_in_std),
-                             repr(100.0 * st.gap_mean), repr(100.0 * st.gap_std)])

@@ -49,6 +49,9 @@ class TrainConfig:
             raise ContractError("avg_tail must lie in [0, 1]")
         if self.stop_rule not in ("fixed", "plateau"):
             raise ContractError(f"unknown stop_rule {self.stop_rule!r}")
+        if self.stop_rule == "plateau" and self.avg_tail > 0.0:
+            # the stop may come before the averaged tail starts
+            raise ContractError("stop_rule 'plateau' needs avg_tail 0")
 
 
 @dataclass

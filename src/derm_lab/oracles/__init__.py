@@ -8,7 +8,7 @@ what the trained controls produce.
 from .black_scholes import bs_call_price, bs_put_price, binomial_american
 from .heston import HestonQuote, heston_call_price, heston_put_price, heston_call_quote
 from .fd_put import FdSolution, american_put_fd
-from .lsm import LsmResult, lsm_max_call, lsm_price
+from .lsm import LsmResult, lsm_price
 
 __all__ = [
     "bs_call_price",
@@ -21,6 +21,5 @@ __all__ = [
     "FdSolution",
     "american_put_fd",
     "LsmResult",
-    "lsm_max_call",
     "lsm_price",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import ContractError
 from ..markets import GbmParams, TimeMesh, simulate_gbm
 
-__all__ = ["LsmResult", "lsm_max_call", "lsm_price"]
+__all__ = ["LsmResult", "lsm_price"]
 
 log = logging.getLogger(__name__)
 
@@ -146,9 +146,3 @@ def lsm_price(params: GbmParams, strike: float, mesh: TimeMesh, n_paths: int,
     se = float(cash.std(ddof=1) / np.sqrt(m_eval))
     return LsmResult(price=price, std_error=se, n_pricing_paths=m_eval,
                      in_sample_price=in_sample, n_regression_paths=half)
-
-
-def lsm_max_call(params: GbmParams, strike: float, mesh: TimeMesh, n_paths: int,
-                 rng: np.random.Generator, degree: int = 2) -> LsmResult:
-    return lsm_price(params, strike, mesh, n_paths, rng,
-                     payoff_kind="max_call", degree=degree)

@@ -4,10 +4,10 @@ The stopping rule is a boundary function learned by a network: stop the
 first time the scalar state statistic alpha(S_t) crosses the learned level
 Phi(t, ...).  Training relaxes the indicator rule into stopping
 probabilities p_t = g(d_t) with d_t the clipped, scaled distance to the
-boundary (the fuzzy region has half-width eps), turns them into stopped
-mass via the recursion xi_{t+1} = xi_t + p_t (1 - xi_t), and maximises
-the expected relaxed payoff by gradient ascent.  Evaluation always uses
-the sharp first-crossing rule on fresh risk-neutral paths.
+boundary (the fuzzy region has half-width eps), and maximises the
+expected relaxed payoff, one autodiff node described below, by gradient
+ascent.  Evaluation always uses the sharp first-crossing rule on fresh
+risk-neutral paths.
 
 Geometry per payoff:
 
@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ModelError
+from .errors import ContractError, DimensionError
 from .markets import GbmParams, PathBatch, TimeMesh, simulate_gbm
 from .nn import MLP, Tensor, TrainConfig, TrainReport, train
 from .rng import derive_rng
@@ -57,20 +57,11 @@ __all__ = [
     "payoff_max_call",
     "StoppingSpec",
     "BoundaryNet",
-    "StopProbProcess",
     "PriceEstimate",
-    "xi_recursion",
-    "fuzzy_stop_probs",
-    "relaxed_value",
     "sharp_evaluate",
     "evaluate_price",
     "train_boundary",
-    "StarShapeReport",
-    "star_shape_check",
-    "BoundaryAgreement",
-    "boundary_agreement",
     "boundary_grid_rows",
-    "boundary_grid_csv",
     "price_report",
 ]
 
@@ -155,7 +146,7 @@ class StoppingSpec:
     def stop_probs(self, phi, alpha):
         """Relaxed stopping probabilities g(clip(o (Phi - alpha) / eps));
         phi may be an array or an autodiff tensor that broadcasts
-        against alpha.  Callers force p_N = 1."""
+        against alpha.  The relaxed value never reads date N: p_N = 1."""
         gap = (phi - alpha) * self.orientation
         return self.g((gap * (1.0 / self.eps)).clip(-1.0, 1.0))
 
@@ -298,41 +289,6 @@ def _check_compatible(boundary: BoundaryNet, spec: StoppingSpec, batch: PathBatc
 # relaxed stopping algebra
 
 
-def xi_recursion(p: np.ndarray) -> np.ndarray:
-    """Stopped-mass trajectory: xi_0 = 0, xi_{t+1} = xi_t + p_t (1 - xi_t).
-
-    p has time as its last axis; the returned xi has the same shape.
-    xi_t is the probability of having stopped strictly before t.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ContractError("stopping probabilities must lie in [0, 1]")
-    xi = np.zeros_like(p)
-    for t in range(p.shape[-1] - 1):
-        xi[..., t + 1] = xi[..., t] + p[..., t] * (1.0 - xi[..., t])
-    return xi
-
-
-@dataclass(frozen=True)
-class StopProbProcess:
-    """Per-path stopping probabilities and accumulated stopped mass."""
-
-    p: np.ndarray   # (m, N+1), p[:, N] = 1
-    xi: np.ndarray  # (m, N+1), xi[:, 0] = 0
-
-
-def fuzzy_stop_probs(boundary: BoundaryNet, batch: PathBatch,
-                     spec: StoppingSpec) -> StopProbProcess:
-    """Relaxed stopping probabilities p_t = g(clip(o (Phi - alpha)/eps))
-    from the current boundary; p_N forced to 1.  Pure numpy (eval mode)."""
-    _check_compatible(boundary, spec, batch)
-    phi = np.stack([boundary.level(t, batch.prices[:, k, :])
-                    for k, t in enumerate(spec.mesh.times)])
-    p = spec.stop_probs(phi, _per_date(spec.alpha, batch)).T.copy()
-    p[:, -1] = 1.0
-    return StopProbProcess(p=p, xi=xi_recursion(p))
-
-
 def _per_date(fn, batch: PathBatch) -> np.ndarray:
     """fn applied to each date's states, stacked time-major: (N+1, m)."""
     return np.stack([fn(batch.prices[:, k, :]) for k in range(batch.prices.shape[1])])
@@ -343,24 +299,19 @@ def _stop_weights(batch: PathBatch, spec: StoppingSpec) -> np.ndarray:
     return spec.discounts()[:, None] * _per_date(spec.payoff, batch)
 
 
-def _continuation(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Relaxed continuation values, time-major (N+1, m): C_N = w_N and
-    C_k = p_k w_k + (1 - p_k) C_{k+1}.  Row N of p is not read: p_N = 1."""
-    c = np.empty_like(w)
-    c[-1] = w[-1]
-    for k in range(w.shape[0] - 2, -1, -1):
-        c[k] = p[k] * w[k] + (1.0 - p[k]) * c[k + 1]
-    return c
-
-
 def _relaxed_value_node(p: Tensor, w: np.ndarray) -> Tensor:
-    """V = mean_paths C_0 as one autodiff node over time-major p (N+1, m).
+    """V = mean_paths C_0 as one autodiff node over time-major p (N+1, m),
+    with C_N = w_N and C_k = p_k w_k + (1 - p_k) C_{k+1}; row N of p is
+    not read (p_N = 1).
 
     dV/dp_k = surv_k (w_k - C_{k+1}) / m with surv_k = prod_{j<k} (1 - p_j)
     for k < N, and 0 for row N.
     """
-    c = _continuation(p.data, w)
     n1, m = w.shape
+    c = np.empty_like(w)
+    c[-1] = w[-1]
+    for k in range(n1 - 2, -1, -1):
+        c[k] = p.data[k] * w[k] + (1.0 - p.data[k]) * c[k + 1]
 
     def backward(out: Tensor) -> None:
         surv = np.ones((n1 - 1, m))
@@ -370,25 +321,6 @@ def _relaxed_value_node(p: Tensor, w: np.ndarray) -> Tensor:
         p._accumulate(grad, fresh=True)
 
     return Tensor._make(np.asarray(c[0].mean()), (p,), backward)
-
-
-def relaxed_value(batch: PathBatch, p: np.ndarray, spec: StoppingSpec) -> float:
-    """Empirical relaxed value: mean over paths of
-    sum_t p_t (1 - xi_t) e^{-r t} phi(S_t).
-
-    Requires a risk-neutral batch and p with p_N = 1 (the relaxed rule
-    must exhaust its stopping mass at maturity).
-    """
-    batch.require_risk_neutral("relaxed_value")
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (batch.n_paths, spec.mesh.times.size):
-        raise DimensionError(f"p shape {p.shape} != (paths, times) "
-                             f"({batch.n_paths}, {spec.mesh.times.size})")
-    if np.any(np.abs(p[:, -1] - 1.0) > 1e-12):
-        raise ContractError("p_N must equal 1")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ContractError("stopping probabilities must lie in [0, 1]")
-    return float(_continuation(p.T, _stop_weights(batch, spec))[0].mean())
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +425,7 @@ def evaluate_price(boundary: BoundaryNet, market: GbmParams, spec: StoppingSpec,
 
 def _relaxed_value_graph(boundary: BoundaryNet, batch: PathBatch,
                          spec: StoppingSpec, train_mode: bool = True) -> Tensor:
-    """Autodiff version of relaxed_value(fuzzy_stop_probs(...)).
+    """Autodiff relaxed value of the boundary rule on one batch.
 
     This is the one consumer allowed to read tilted batches: the tilt
     changes where gradients are collected, not the objective's form.
@@ -550,99 +482,7 @@ def train_boundary(spec: StoppingSpec, boundary: BoundaryNet, market: GbmParams,
 
 
 # ----------------------------------------------------------------------
-# geometry checks and exports
-
-
-@dataclass(frozen=True)
-class StarShapeReport:
-    n_checked: int
-    n_violations: int
-    examples: tuple = ()
-
-
-def star_shape_check(boundary: BoundaryNet, spec: StoppingSpec,
-                     n_points: int = 200, lambdas=(1.5, 2.0, 10.0),
-                     seed: int = 0, stop_rule=None) -> StarShapeReport:
-    """Verify scaling monotonicity of the stopping rule: stop(t, s) implies
-    stop(t, lambda s) for lambda >= 1.
-
-    For the simplex parametrization this holds by construction; the check
-    exists to catch mis-parametrized rules (pass stop_rule to test one).
-    """
-    if spec.payoff_kind != "max_call":
-        raise ContractError("star-shape check applies to the max-call rule")
-    if stop_rule is None:
-        def stop_rule(t: float, s: np.ndarray) -> np.ndarray:
-            gap = spec.orientation * (boundary.level(t, s) - spec.alpha(s))
-            return gap >= 0.0
-
-    rng = derive_rng(seed, "star")
-    d = boundary.n_assets
-    n_checked = 0
-    violations = []
-    for t in spec.mesh.times:
-        s = spec.strike * np.exp(rng.normal(0.0, 0.35, size=(n_points, d)))
-        stopped = stop_rule(float(t), s)
-        base = s[stopped]
-        if base.size == 0:
-            continue
-        for lam in lambdas:
-            if lam < 1.0:
-                raise ContractError("lambdas must be >= 1")
-            still = stop_rule(float(t), lam * base)
-            n_checked += int(still.size)
-            bad = np.nonzero(~still)[0]
-            for i in bad[:3]:
-                violations.append((float(t), float(lam), base[i].tolist()))
-    return StarShapeReport(n_checked=n_checked, n_violations=len(violations),
-                           examples=tuple(violations[:10]))
-
-
-@dataclass(frozen=True)
-class BoundaryAgreement:
-    max_rel_dev: float
-    n_points: int
-
-
-def boundary_agreement(b1: BoundaryNet, b2: BoundaryNet, spec: StoppingSpec,
-                       market1: GbmParams, market2: GbmParams,
-                       n_probe: int = 4096, seed: int = 0,
-                       quantile_band: tuple[float, float] = (0.1, 0.9)) -> BoundaryAgreement:
-    """Compare two trained boundaries on the region both trainings visit.
-
-    Probe states are simulated from both markets; at each date the states
-    are filtered to the central band of each market's boundary-input
-    distribution, and Phi from both nets is compared on the survivors.
-    """
-    if b1.kind != b2.kind or b1.kind != spec.payoff_kind:
-        raise ContractError("boundary kinds must match the spec")
-    lo_q, hi_q = quantile_band
-    batches = [simulate_gbm(mkt, spec.mesh, n_probe, derive_rng(seed, "probe", i))
-               for i, mkt in enumerate((market1, market2))]
-    worst = 0.0
-    count = 0
-    for k, t in enumerate(spec.mesh.times):
-        if k == 0:
-            continue  # a single shared state at t=0 carries no geometry
-        states = [b.prices[:, k, :] for b in batches]
-        if spec.payoff_kind == "max_call":
-            # position on the simplex, summarised by min/max ratio
-            stats = [s.min(axis=1) / s.max(axis=1) for s in states]
-        else:
-            stats = [s[:, 0] for s in states]
-        lo = max(np.quantile(st, lo_q) for st in stats)
-        hi = min(np.quantile(st, hi_q) for st in stats)
-        for s, st in zip(states, stats):
-            keep = (st >= lo) & (st <= hi)
-            pick = s[keep][:256]
-            if pick.shape[0] == 0:
-                continue
-            f1 = b1.level(float(t), pick)
-            f2 = b2.level(float(t), pick)
-            denom = np.maximum(np.maximum(np.abs(f1), np.abs(f2)), 1e-12)
-            worst = max(worst, float(np.max(np.abs(f1 - f2) / denom)))
-            count += pick.shape[0]
-    return BoundaryAgreement(max_rel_dev=worst, n_points=count)
+# exports
 
 
 def boundary_grid_rows(boundary: BoundaryNet, spec: StoppingSpec,
@@ -669,21 +509,6 @@ def boundary_grid_rows(boundary: BoundaryNet, spec: StoppingSpec,
                 coord[axis] = float(u)
                 rows.append((float(t), *coord, float(lev)))
     return rows
-
-
-def boundary_grid_csv(boundary: BoundaryNet, spec: StoppingSpec, path,
-                      n_coord: int = 21) -> None:
-    import csv
-
-    rows = boundary_grid_rows(boundary, spec, n_coord)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if boundary.kind == "put":
-            writer.writerow(["time", "level"])
-        else:
-            writer.writerow(["time"] + [f"z{i+1}" for i in range(boundary.n_assets)] + ["level"])
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def price_report(estimate: PriceEstimate, spec: StoppingSpec, seed: int) -> dict:

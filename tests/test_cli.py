@@ -125,6 +125,22 @@ def test_schema_violation_is_config_error(tmp_path, capsys):
     assert "$.method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lr_final", 1e-4), ("avg_tail", 0.3), ("stop_rule", "plateau"),
+    ("plateau_rel_tol", 1e-3), ("plateau_patience", 10)])
+def test_merton_rejects_train_keys_it_does_not_read(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, {"train": {key: value}})
+    assert main(["merton", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "$.train" in err and key in err
+
+
+def test_plateau_stop_with_tail_averaging_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"train": {"stop_rule": "plateau", "avg_tail": 0.3}})
+    assert main(["put-boundary", "--config", cfg]) == EXIT_CONFIG
+    assert "$.train.avg_tail" in capsys.readouterr().err
+
+
 def test_bad_worker_env_is_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DERM_LAB_WORKERS", "many")
     cfg = write_cfg(tmp_path, TINY_ORACLE)

@@ -11,8 +11,9 @@ import pytest
 from scipy import stats as sps
 
 from derm_lab.errors import ContractError, RolloutError
+from derm_lab.experiments import _write_csv
 from derm_lab.hedging import (HedgePolicy, HedgeOutcome, HedgingSpec,
-                              hedge_trace_csv, train_price_and_hedge,
+                              hedge_trace_rows, train_price_and_hedge,
                               train_pure_hedge, wealth_rollout)
 from derm_lab.markets import HestonParams, PathBatch, TimeMesh, simulate_heston
 from derm_lab.nn.train import TrainConfig
@@ -239,9 +240,10 @@ def test_hedge_trace_csv(tmp_path):
     policy = constant_policy(spec, 1.0)
     batch = heston_batch(6, 9)
     out = wealth_rollout(policy, 2.0, batch, spec)
-    dest = tmp_path / "trace.csv"
-    hedge_trace_csv(out, batch, dest, max_paths=4)
+    dest = _write_csv(tmp_path / "trace.csv", ["path_id", "time", "stock", "wealth", "position"],
+                      hedge_trace_rows(out, batch))
     lines = dest.read_text().strip().split("\n")
     assert lines[0] == "path_id,time,stock,wealth,position"
-    assert len(lines) == 1 + 4 * 23
+    assert len(lines) == 1 + 6 * 23
     assert lines[23].endswith(",")  # maturity rows carry no position
+    assert lines[24].startswith("1,0.0,100.0,2.0,1.0")

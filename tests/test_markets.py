@@ -11,7 +11,6 @@ from scipy import stats
 
 from derm_lab.errors import ContractError, DimensionError, MeasureError, ModelError
 from derm_lab.markets import (GbmParams, HestonParams, PathBatch, TimeMesh,
-                              prices_from_returns, returns_from_prices,
                               simulate_gbm, simulate_heston)
 from derm_lab.rng import derive_rng
 
@@ -117,10 +116,8 @@ def test_prices_returns_round_trip():
     mesh = TimeMesh.uniform(1.0, 5)
     batch = simulate_gbm(GbmParams(s0=[50.0, 80.0], rate=0.02, sigma=0.3),
                          mesh, 64, rng)
-    r = returns_from_prices(batch.prices)
-    assert np.array_equal(r, batch.returns)
-    rebuilt = prices_from_returns(batch.prices[:, 0, :], r)
-    assert np.allclose(rebuilt, batch.prices, rtol=1e-14)
+    rebuilt = batch.prices[:, :1, :] * np.cumprod(1.0 + batch.returns, axis=1)
+    assert np.allclose(rebuilt, batch.prices[:, 1:, :], rtol=1e-14)
 
 
 def test_measure_tags():
@@ -248,3 +245,17 @@ def test_heston_batch_is_risk_neutral_tagged():
     batch = simulate_heston(p, TimeMesh.uniform(0.5, 11), 16, derive_rng(10, "m"))
     assert not batch.tilted
     assert batch.n_assets == 1
+
+
+def test_heston_drift_off_the_rate_is_tilted():
+    p = HestonParams(s0=100.0, v0=0.04, mu=0.07, kappa=0.9, theta=0.04,
+                     sigma_vol=0.2, rate=0.02)
+    batch = simulate_heston(p, TimeMesh.uniform(0.5, 11), 16, derive_rng(10, "m"))
+    assert batch.tilted
+    assert batch.drift_tilt == pytest.approx(0.05, abs=1e-15)
+    with pytest.raises(MeasureError):
+        batch.require_risk_neutral("test")
+    same = HestonParams(s0=100.0, v0=0.04, mu=0.02, kappa=0.9, theta=0.04,
+                        sigma_vol=0.2, rate=0.02)
+    assert not simulate_heston(same, TimeMesh.uniform(0.5, 11), 16,
+                               derive_rng(10, "m")).tilted

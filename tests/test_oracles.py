@@ -14,7 +14,7 @@ from derm_lab.errors import ContractError, DomainError
 from derm_lab.markets import GbmParams, HestonParams, TimeMesh
 from derm_lab.oracles import (american_put_fd, binomial_american, bs_call_price,
                               bs_put_price, heston_call_price, heston_call_quote,
-                              heston_put_price, lsm_max_call, lsm_price)
+                              heston_put_price, lsm_price)
 from derm_lab.rng import derive_rng
 
 # shared single-asset test market: the American put study case
@@ -182,7 +182,8 @@ def test_lsm_single_date_equals_plain_mc():
     # must equal the discounted payoff mean of the pricing half
     params = GbmParams(s0=[90.0, 90.0], rate=0.05, sigma=0.2, div=0.1)
     mesh = TimeMesh.uniform(3.0, 1)
-    res = lsm_max_call(params, 100.0, mesh, 4096, derive_rng(0, "lsm1"))
+    res = lsm_price(params, 100.0, mesh, 4096, derive_rng(0, "lsm1"),
+                    payoff_kind="max_call")
     from derm_lab.markets import simulate_gbm
     batch = simulate_gbm(params, mesh, 4096, derive_rng(0, "lsm1"))
     payoff = np.maximum(batch.prices[:, -1, :].max(axis=1) - 100.0, 0.0)
@@ -193,7 +194,8 @@ def test_lsm_single_date_equals_plain_mc():
 def test_lsm_max_call_study_value():
     params = GbmParams(s0=[90.0, 90.0], rate=0.05, sigma=0.2, div=0.1)
     mesh = TimeMesh.uniform(3.0, 9)
-    res = lsm_max_call(params, 100.0, mesh, 1 << 17, derive_rng(1, "lsm"))
+    res = lsm_price(params, 100.0, mesh, 1 << 17, derive_rng(1, "lsm"),
+                    payoff_kind="max_call")
     # true value about 8.07; the out-of-sample LSM rule is a lower bound
     assert 7.95 < res.price < 8.12
     assert res.std_error < 0.05

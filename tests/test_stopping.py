@@ -21,12 +21,11 @@ from derm_lab.nn.train import TrainConfig
 from derm_lab.oracles import bs_put_price
 from derm_lab import stopping
 from derm_lab.rng import derive_rng
-from derm_lab.stopping import (BoundaryNet, StoppingSpec, boundary_agreement,
-                               boundary_grid_rows, evaluate_price,
-                               fuzzy_stop_probs, payoff_max_call, payoff_put,
-                               relaxed_value, sharp_evaluate, star_shape_check,
-                               train_boundary, xi_recursion, _first_crossing,
-                               _relaxed_value_graph, _relaxed_value_node)
+from derm_lab.stopping import (BoundaryNet, StoppingSpec, boundary_grid_rows,
+                               evaluate_price, payoff_max_call, payoff_put,
+                               sharp_evaluate, train_boundary, _first_crossing,
+                               _per_date, _relaxed_value_graph, _relaxed_value_node,
+                               _stop_weights)
 
 PUT_MARKET = GbmParams(s0=40.0, rate=0.06, sigma=0.4)
 PUT_MESH = TimeMesh.uniform(1.0, 10)
@@ -94,50 +93,33 @@ def test_spec_validation_and_hash():
 
 
 def test_xi_recursion_example():
-    xi = xi_recursion(np.array([0.5, 0.5, 1.0]))
+    # stopped mass before date k: xi_0 = 0, xi_{k+1} = xi_k + p_k (1 - xi_k);
+    # a unit payoff at date k alone has relaxed value p_k (1 - xi_k)
+    p = Tensor(np.array([[0.5], [0.5], [1.0]]))
+    mass = [float(_relaxed_value_node(p, np.eye(3)[:, [k]])) for k in range(3)]
+    xi = np.concatenate([[0.0], np.cumsum(mass)[:-1]])
     assert np.allclose(xi, [0.0, 0.5, 0.75], atol=1e-15)
-
-
-def test_xi_recursion_rejects_bad_probs():
-    with pytest.raises(ContractError):
-        xi_recursion(np.array([0.5, 1.2, 1.0]))
-    with pytest.raises(ContractError):
-        xi_recursion(np.array([-0.1, 1.0]))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_stopping_mass_exhausts(seed):
-    # with p_N = 1, sum_k p_k prod_{j<k} (1 - p_j) == 1 exactly
+    # with p_N = 1, sum_k p_k prod_{j<k} (1 - p_j) == 1 exactly: the relaxed
+    # value of a unit payoff at every date is 1
     rng = np.random.default_rng(seed)
-    p = rng.uniform(0.0, 1.0, size=(7, 6))
-    p[:, -1] = 1.0
-    xi = xi_recursion(p)
-    mass = (p * (1.0 - xi)).sum(axis=1)
-    assert np.all(np.abs(mass - 1.0) < 1e-12)
+    p = rng.uniform(0.0, 1.0, size=(6, 7))
+    value = _relaxed_value_node(Tensor(p), np.ones((6, 7)))
+    assert abs(float(value) - 1.0) < 1e-12
 
 
 def test_fuzzy_probs_structure():
     batch = simulate_gbm(PUT_MARKET, PUT_MESH, 64, derive_rng(0, "f"))
-    proc = fuzzy_stop_probs(put_boundary(), batch, put_spec())
-    assert proc.p.shape == (64, 11)
-    assert np.all(proc.p[:, -1] == 1.0)
-    assert np.all(proc.xi[:, 0] == 0.0)
-    assert np.all((proc.p >= 0.0) & (proc.p <= 1.0))
-
-
-def test_relaxed_value_rejects_bad_inputs():
-    batch = simulate_gbm(PUT_MARKET, PUT_MESH, 16, derive_rng(1, "f"))
-    spec = put_spec()
-    p = np.full((16, 11), 0.5)
-    with pytest.raises(ContractError):
-        relaxed_value(batch, p, spec)  # p_N != 1
-    p[:, -1] = 1.0
-    with pytest.raises(DimensionError):
-        relaxed_value(batch, p[:, :-1], spec)
-    tilted = simulate_gbm(PUT_MARKET, PUT_MESH, 16, derive_rng(1, "f"),
-                          drift_tilt=-0.014)
-    with pytest.raises(MeasureError):
-        relaxed_value(tilted, p, spec)
+    spec, boundary = put_spec(), put_boundary()
+    phi = np.stack([boundary.level(t, batch.prices[:, k, :])
+                    for k, t in enumerate(spec.mesh.times)])
+    p = spec.stop_probs(phi, _per_date(spec.alpha, batch))
+    assert p.shape == (11, 64)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert 0.0 < p.mean() < 1.0
 
 
 def test_indicator_relaxation_equals_sharp_value():
@@ -151,7 +133,8 @@ def test_indicator_relaxation_equals_sharp_value():
     p[np.arange(512), tau] = 1.0
     p[:, -1] = 1.0
     sharp = sharp_evaluate(boundary, batch, spec)
-    assert relaxed_value(batch, p, spec) == pytest.approx(sharp.price, abs=1e-12)
+    value = _relaxed_value_node(Tensor(p.T), _stop_weights(batch, spec))
+    assert float(value) == pytest.approx(sharp.price, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -426,34 +409,20 @@ def maxcall_setup():
 
 
 def test_star_shape_holds_by_construction():
+    # stop(t, s) implies stop(t, lambda s) for lambda >= 1: scaling moves
+    # alpha = max(s) up and leaves the simplex coordinate s/max(s) alone
     spec, boundary = maxcall_setup()
-    report = star_shape_check(boundary, spec)
-    assert report.n_violations == 0
-    assert report.n_checked > 0
-
-
-def test_star_shape_catches_bad_rule():
-    spec, boundary = maxcall_setup()
-
-    def capped_rule(t, s):
-        return s.max(axis=1) <= 110.0  # stopping set shrinks under scaling
-
-    report = star_shape_check(boundary, spec, stop_rule=capped_rule)
-    assert report.n_violations > 0
-
-
-def test_star_shape_put_rejected():
-    with pytest.raises(ContractError):
-        star_shape_check(put_boundary(), put_spec())
-
-
-def test_boundary_agreement_identity():
-    spec, boundary = maxcall_setup()
-    market = GbmParams(s0=[90.0, 90.0], rate=0.05, sigma=0.2, div=0.1)
-    report = boundary_agreement(boundary, boundary, spec, market,
-                                market.with_s0(100.0))
-    assert report.max_rel_dev == 0.0
-    assert report.n_points > 0
+    rng = derive_rng(0, "star")
+    n_checked = 0
+    for t in spec.mesh.times:
+        s = spec.strike * np.exp(rng.normal(0.0, 0.35, size=(200, 2)))
+        stopped = s[spec.orientation * (boundary.level(t, s) - spec.alpha(s)) >= 0.0]
+        for lam in (1.5, 2.0, 10.0):
+            scaled = lam * stopped
+            gap = spec.orientation * (boundary.level(t, scaled) - spec.alpha(scaled))
+            assert np.all(gap >= 0.0)
+            n_checked += len(scaled)
+    assert n_checked > 0
 
 
 def test_boundary_grid_rows_shapes():

@@ -74,6 +74,13 @@ def test_plateau_stop_rule_stops_early():
     assert report.iterations_run < 5000
 
 
+def test_plateau_stop_rule_rejects_tail_averaging():
+    # a plateau stop can come before the averaged tail starts
+    with pytest.raises(ContractError):
+        TrainConfig(batch_size=1, iterations=10, stop_rule="plateau", avg_tail=0.3)
+    TrainConfig(batch_size=1, iterations=10, stop_rule="plateau", avg_tail=0.0)
+
+
 def test_objective_must_return_scalar_tensor():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ContractError):
